@@ -137,7 +137,7 @@ func runAblCBF() (Report, error) {
 
 func runAblFlash() (Report, error) {
 	r := Report{ID: "abl-flash", Title: "Ablation — flash cache size sweep"}
-	ws := flashcache.DiskWorkingSets()["websearch"]
+	ws, _ := flashcache.DiskWorkingSet("websearch")
 	r.addf("websearch disk-trace read hit rate by flash size:")
 	for _, gb := range []float64{0.25, 0.5, 1, 2, 4} {
 		sim, err := flashcache.New(flashcache.Config{
@@ -147,9 +147,9 @@ func runAblFlash() (Report, error) {
 		}
 		rng := stats.NewRNG(9)
 		// Long warm-up so even the 4 GB variant fills before measuring.
-		flashcache.Replay(sim, &ws, rng, 30000)
+		flashcache.Replay(sim, ws, rng, 30000)
 		warm := sim.Stats()
-		flashcache.Replay(sim, &ws, rng, 30000)
+		flashcache.Replay(sim, ws, rng, 30000)
 		st := sim.Stats()
 		hits := st.ReadHits - warm.ReadHits
 		reads := st.Reads - warm.Reads

@@ -2,13 +2,17 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
+	"warehousesim/internal/cluster"
 	"warehousesim/internal/cooling"
 	"warehousesim/internal/cost"
+	"warehousesim/internal/flashcache"
 	"warehousesim/internal/memblade"
 	"warehousesim/internal/metrics"
 	"warehousesim/internal/platform"
+	"warehousesim/internal/stats"
 	"warehousesim/internal/workload"
 )
 
@@ -204,6 +208,76 @@ func TestFlashHitRatesPlausible(t *testing.T) {
 	b, _ := ev.flashHitRate(p)
 	if a != b {
 		t.Error("hit rate cache inconsistent")
+	}
+}
+
+// directHitRate replays a fresh default flash cache warm-then-measure,
+// the computation the hit-rate memo stands in for.
+func directHitRate(t *testing.T, name string, seed uint64, requests int) float64 {
+	t.Helper()
+	ws, ok := flashcache.DiskWorkingSet(name)
+	if !ok {
+		t.Fatalf("no working set for %s", name)
+	}
+	sim, err := flashcache.New(flashcache.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := stats.NewRNG(seed ^ 0xf1a5)
+	flashcache.Replay(sim, ws, r, requests/2)
+	warm := sim.Stats()
+	st := flashcache.Replay(sim, ws, r, requests)
+	return float64(st.ReadHits-warm.ReadHits) / float64(st.Reads-warm.Reads)
+}
+
+// Evaluators that differ in Seed or FlashReplayRequests must never
+// share a memoized hit rate, including one evaluator whose Seed changes
+// between calls.
+func TestFlashHitRateMemoKey(t *testing.T) {
+	p := workload.WebsearchProfile()
+	ev := NewEvaluator()
+	for _, c := range []struct {
+		seed     uint64
+		requests int
+	}{{31, 300}, {32, 300}, {31, 600}, {32, 600}, {31, 300}} {
+		ev.Seed, ev.FlashReplayRequests = c.seed, c.requests
+		got, err := ev.flashHitRate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := directHitRate(t, p.Name, c.seed, c.requests); got != want {
+			t.Errorf("seed %d, %d requests: memoized rate %v, direct replay %v", c.seed, c.requests, got, want)
+		}
+	}
+	if _, err := ev.flashHitRate(workload.Profile{Name: "no-such-workload"}); err == nil {
+		t.Error("unknown workload got a hit rate")
+	}
+}
+
+// Evaluators are shared across experiment-cell workers; concurrent N2
+// lowerings on one evaluator must agree and be race-free.
+func TestClusterConfigConcurrent(t *testing.T) {
+	ev := NewEvaluator()
+	ev.Seed, ev.FlashReplayRequests = 41, 500
+	p := workload.WebmailProfile()
+	cfgs := make([]cluster.Config, 5)
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i := range cfgs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cfgs[i], errs[i] = ev.ClusterConfig(NewN2(), p)
+		}(i)
+	}
+	wg.Wait()
+	for i := range cfgs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if cfgs[i].Storage != cfgs[0].Storage {
+			t.Errorf("worker %d lowered storage %+v, worker 0 %+v", i, cfgs[i].Storage, cfgs[0].Storage)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"warehousesim/internal/cluster"
 	"warehousesim/internal/cooling"
@@ -30,9 +31,6 @@ type Evaluator struct {
 	// (cooling.Enclosure.RoomCoolingFactor). Off by default so headline
 	// numbers stay on the paper's model.
 	EnclosureCoolingCredit bool
-
-	// hitRates caches flash hit rates per (storage kind, workload).
-	hitRates map[string]float64
 }
 
 // NewEvaluator returns an evaluator with the paper's default models.
@@ -44,37 +42,62 @@ func NewEvaluator() *Evaluator {
 	}
 }
 
-// flashHitRate replays the workload's disk trace through the 1 GB flash
-// cache and returns the steady-state read hit rate.
+// hitRateKey names one flash hit rate: the rate is a pure function of
+// the replay seed, the replay length and the workload.
+type hitRateKey struct {
+	seed     uint64
+	requests int
+	profile  string
+}
+
+// hitRateEntry computes its rate exactly once, however many evaluators
+// ask for it concurrently.
+type hitRateEntry struct {
+	once sync.Once
+	rate float64
+	err  error
+}
+
+// hitRates memoizes flash hit rates process-wide (hitRateKey ->
+// *hitRateEntry). It fills lazily on first use.
+var hitRates sync.Map
+
+// flashHitRate returns the steady-state read hit rate of the workload's
+// disk trace on the 1 GB flash cache, replaying it at most once per
+// process for each (Seed, FlashReplayRequests, workload).
 func (ev *Evaluator) flashHitRate(p workload.Profile) (float64, error) {
-	if ev.hitRates == nil {
-		ev.hitRates = map[string]float64{}
-	}
-	if hr, ok := ev.hitRates[p.Name]; ok {
-		return hr, nil
-	}
-	ws, ok := flashcache.DiskWorkingSets()[p.Name]
+	key := hitRateKey{seed: ev.Seed, requests: ev.FlashReplayRequests, profile: p.Name}
+	v, ok := hitRates.Load(key)
 	if !ok {
-		return 0, fmt.Errorf("core: no disk working set for workload %q", p.Name)
+		v, _ = hitRates.LoadOrStore(key, &hitRateEntry{})
+	}
+	e := v.(*hitRateEntry)
+	e.once.Do(func() { e.rate, e.err = replayHitRate(key) })
+	return e.rate, e.err
+}
+
+// replayHitRate warms a fresh 1 GB flash cache with half the replay
+// length, then measures the read hit rate over the full length.
+func replayHitRate(key hitRateKey) (float64, error) {
+	ws, ok := flashcache.DiskWorkingSet(key.profile)
+	if !ok {
+		return 0, fmt.Errorf("core: no disk working set for workload %q", key.profile)
 	}
 	sim, err := flashcache.New(flashcache.DefaultConfig())
 	if err != nil {
 		return 0, err
 	}
-	r := stats.NewRNG(ev.Seed ^ 0xf1a5)
-	// Warm the cache, then measure.
-	flashcache.Replay(sim, &ws, r, ev.FlashReplayRequests/2)
+	r := stats.NewRNG(key.seed ^ 0xf1a5)
+	flashcache.Replay(sim, ws, r, key.requests/2)
 	warm := sim.Stats()
-	flashcache.Replay(sim, &ws, r, ev.FlashReplayRequests)
+	flashcache.Replay(sim, ws, r, key.requests)
 	st := sim.Stats()
 	reads := st.Reads - warm.Reads
 	hits := st.ReadHits - warm.ReadHits
-	hr := 0.0
-	if reads > 0 {
-		hr = float64(hits) / float64(reads)
+	if reads == 0 {
+		return 0, nil
 	}
-	ev.hitRates[p.Name] = hr
-	return hr, nil
+	return float64(hits) / float64(reads), nil
 }
 
 // clusterConfig lowers a resolved design into the per-workload queueing

@@ -12,8 +12,8 @@
 package flashcache
 
 import (
-	"container/list"
 	"fmt"
+	"math"
 
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/span"
@@ -43,6 +43,10 @@ func (c Config) Validate() error {
 	if c.CacheBytes < int64(c.BlockBytes) {
 		return fmt.Errorf("flashcache: cache smaller than one block")
 	}
+	if c.CacheBytes/int64(c.BlockBytes) > math.MaxInt32 {
+		return fmt.Errorf("flashcache: cache of %d blocks exceeds the %d-block limit",
+			c.CacheBytes/int64(c.BlockBytes), math.MaxInt32)
+	}
 	return nil
 }
 
@@ -69,13 +73,21 @@ func (s Stats) ReadHitRate() float64 {
 
 // Sim is the flash disk-cache simulator: an LRU block cache with a
 // hash-table lookup (as the paper describes) and wear accounting.
+//
+// The LRU list is index-linked: slot i holds block keys[i], and
+// prev[i]/next[i] link it toward the MRU head and the LRU tail (nilSlot
+// ends the list). Slots are appended until the cache is full and then
+// recycled from the tail, so installs allocate nothing once warm and
+// the collector has no per-block pointers to scan.
 type Sim struct {
 	cfg      Config
 	capacity int
 
-	table *list.List
-	index map[int64]*list.Element
-	stats Stats
+	keys       []int64
+	prev, next []int32
+	head, tail int32
+	index      map[int64]int32
+	stats      Stats
 
 	// observability (nil when not instrumented)
 	rec         obs.Recorder
@@ -95,8 +107,9 @@ func New(cfg Config) (*Sim, error) {
 	return &Sim{
 		cfg:      cfg,
 		capacity: int(cfg.CacheBytes / int64(cfg.BlockBytes)),
-		table:    list.New(),
-		index:    map[int64]*list.Element{},
+		head:     nilSlot,
+		tail:     nilSlot,
+		index:    map[int64]int32{},
 	}, nil
 }
 
@@ -137,8 +150,8 @@ func (s *Sim) InstrumentSpans(tr *span.Tracer, flashReadSec, diskReadSec float64
 // and installs it (write-allocate). Returns true on a flash hit.
 func (s *Sim) Read(block int64) bool {
 	s.stats.Reads++
-	if el, ok := s.index[block]; ok {
-		s.table.MoveToFront(el)
+	if slot, ok := s.index[block]; ok {
+		s.moveToFront(slot)
 		s.stats.ReadHits++
 		s.observe("flashcache.reads", "flashcache.read_hits", true)
 		s.spanRead("flash", s.flashReadUs)
@@ -167,8 +180,8 @@ func (s *Sim) spanRead(res string, durUs float64) {
 // write buffer; destage to disk happens in the background).
 func (s *Sim) Write(block int64) {
 	s.stats.Writes++
-	if el, ok := s.index[block]; ok {
-		s.table.MoveToFront(el)
+	if slot, ok := s.index[block]; ok {
+		s.moveToFront(slot)
 		s.stats.WriteHits++
 		s.stats.FlashBlockWrites++ // re-program the block
 		s.observe("flashcache.writes", "flashcache.write_hits", true)
@@ -196,22 +209,78 @@ func (s *Sim) observe(opCounter, hitCounter string, hit bool) {
 	}
 }
 
+// nilSlot terminates the LRU links.
+const nilSlot int32 = -1
+
+// install caches a missing block at the MRU end, evicting the LRU block
+// when the cache is full; its slot is reused for the new block.
+//
+//perf:hotpath
 func (s *Sim) install(block int64) {
-	if s.table.Len() >= s.capacity {
-		el := s.table.Back()
-		victim := el.Value.(int64)
-		s.table.Remove(el)
-		delete(s.index, victim)
+	var slot int32
+	if len(s.keys) >= s.capacity {
+		slot = s.tail
+		s.unlink(slot)
+		delete(s.index, s.keys[slot])
 		s.stats.Evictions++
 		if s.rec != nil {
 			s.rec.Count("flashcache.evictions", 1)
 		}
+		s.keys[slot] = block
+	} else {
+		slot = int32(len(s.keys))
+		s.keys = append(s.keys, block)
+		s.prev = append(s.prev, nilSlot)
+		s.next = append(s.next, nilSlot)
 	}
-	s.index[block] = s.table.PushFront(block)
+	s.pushFront(slot)
+	s.index[block] = slot
 	s.stats.FlashBlockWrites++
 	if s.rec != nil {
 		s.rec.Count("flashcache.block_writes", 1)
 	}
+}
+
+// moveToFront marks a cached slot most recently used.
+//
+//perf:hotpath
+func (s *Sim) moveToFront(slot int32) {
+	if slot == s.head {
+		return
+	}
+	s.unlink(slot)
+	s.pushFront(slot)
+}
+
+// unlink detaches a slot from the LRU list.
+//
+//perf:hotpath
+func (s *Sim) unlink(slot int32) {
+	p, n := s.prev[slot], s.next[slot]
+	if p == nilSlot {
+		s.head = n
+	} else {
+		s.next[p] = n
+	}
+	if n == nilSlot {
+		s.tail = p
+	} else {
+		s.prev[n] = p
+	}
+}
+
+// pushFront links a detached slot in as the MRU head.
+//
+//perf:hotpath
+func (s *Sim) pushFront(slot int32) {
+	s.prev[slot] = nilSlot
+	s.next[slot] = s.head
+	if s.head == nilSlot {
+		s.tail = slot
+	} else {
+		s.prev[s.head] = slot
+	}
+	s.head = slot
 }
 
 // Stats returns the accumulated counters.
@@ -249,25 +318,36 @@ func (s *Sim) WearLifetimeYears(flashWritesPerSec float64, f platform.Flash) (fl
 	return seconds / (365.25 * 24 * 3600), nil
 }
 
-// DiskWorkingSets gives, per benchmark, the disk-resident working set
-// and access skew used to synthesize disk traces for the flash study
-// (derived from Table 1's dataset descriptions: 20 GB websearch dataset,
-// 7 GB mail store, edge-cached video library, 5 GB mapreduce corpus).
-func DiskWorkingSets() map[string]trace.SyntheticDisk {
-	mk := func(bytes int64, s, run, ops, wf float64) trace.SyntheticDisk {
-		sd, err := trace.NewSyntheticDisk(bytes/4096, s, run, ops, wf)
-		if err != nil {
-			panic(err) // static parameters; cannot fail
-		}
-		return *sd
-	}
-	return map[string]trace.SyntheticDisk{
-		"websearch": mk(20e9, 1.05, 12, 2.2, 0.02),
-		"webmail":   mk(7e9, 0.95, 6, 0.5, 0.25),
+// DiskWorkingSet builds the named benchmark's disk-resident working
+// set and access skew, used to synthesize disk traces for the flash
+// study (derived from Table 1's dataset descriptions: 20 GB websearch
+// dataset, 7 GB mail store, edge-cached video library, 5 GB mapreduce
+// corpus). Each call builds a fresh tracer for that workload alone;
+// false means the workload has no disk working set.
+func DiskWorkingSet(name string) (*trace.SyntheticDisk, bool) {
+	var (
+		bytes            int64
+		s, run, ops, wfr float64
+	)
+	switch name {
+	case "websearch":
+		bytes, s, run, ops, wfr = 20e9, 1.05, 12, 2.2, 0.02
+	case "webmail":
+		bytes, s, run, ops, wfr = 7e9, 0.95, 6, 0.5, 0.25
+	case "ytube":
 		// Edge video traffic is highly skewed (Gill et al.); the flash
 		// front absorbs most cold-tier reads.
-		"ytube":     mk(12e9, 1.15, 48, 1.0, 0.01),
-		"mapred-wc": mk(5e9, 0.70, 64, 16, 0.05),
-		"mapred-wr": mk(5e9, 0.60, 64, 0.5, 0.95),
+		bytes, s, run, ops, wfr = 12e9, 1.15, 48, 1.0, 0.01
+	case "mapred-wc":
+		bytes, s, run, ops, wfr = 5e9, 0.70, 64, 16, 0.05
+	case "mapred-wr":
+		bytes, s, run, ops, wfr = 5e9, 0.60, 64, 0.5, 0.95
+	default:
+		return nil, false
 	}
+	sd, err := trace.NewSyntheticDisk(bytes/4096, s, run, ops, wfr)
+	if err != nil {
+		panic(err) // static parameters; cannot fail
+	}
+	return sd, true
 }

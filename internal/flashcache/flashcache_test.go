@@ -1,6 +1,7 @@
 package flashcache
 
 import (
+	"container/list"
 	"testing"
 	"testing/quick"
 
@@ -27,6 +28,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if (Config{CacheBytes: 100, BlockBytes: 4096}).Validate() == nil {
 		t.Error("cache smaller than a block accepted")
+	}
+	if (Config{CacheBytes: 1 << 42, BlockBytes: 512}).Validate() == nil {
+		t.Error("cache past the 2^31-1 block slot limit accepted")
 	}
 }
 
@@ -113,9 +117,8 @@ func TestReplayHitRateGrowsWithCache(t *testing.T) {
 }
 
 func TestDiskWorkingSetsComplete(t *testing.T) {
-	ws := DiskWorkingSets()
 	for _, name := range []string{"websearch", "webmail", "ytube", "mapred-wc", "mapred-wr"} {
-		sd, ok := ws[name]
+		sd, ok := DiskWorkingSet(name)
 		if !ok {
 			t.Fatalf("missing working set for %s", name)
 		}
@@ -124,11 +127,14 @@ func TestDiskWorkingSetsComplete(t *testing.T) {
 		}
 	}
 	// The write job must be write-dominated; search read-dominated.
-	if ws["mapred-wr"].WriteFraction < 0.5 {
+	if wr, _ := DiskWorkingSet("mapred-wr"); wr.WriteFraction < 0.5 {
 		t.Error("mapred-wr not write-heavy")
 	}
-	if ws["websearch"].WriteFraction > 0.1 {
+	if ws, _ := DiskWorkingSet("websearch"); ws.WriteFraction > 0.1 {
 		t.Error("websearch too write-heavy")
+	}
+	if sd, ok := DiskWorkingSet("no-such-workload"); ok || sd != nil {
+		t.Errorf("unknown workload returned a working set: %+v, %v", sd, ok)
 	}
 }
 
@@ -179,9 +185,103 @@ func TestQuickCacheInvariants(t *testing.T) {
 		}
 		st := s.Stats()
 		return st.ReadHits <= st.Reads && st.WriteHits <= st.Writes &&
-			s.table.Len() <= s.capacity && len(s.index) == s.table.Len()
+			len(s.keys) <= s.capacity && len(s.index) == len(s.keys)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refLRU is a container/list LRU with Sim's counter semantics: the
+// reference the index-linked list must match operation for operation.
+type refLRU struct {
+	capacity int
+	table    *list.List
+	index    map[int64]*list.Element
+	stats    Stats
+}
+
+func newRefLRU(capacity int) *refLRU {
+	return &refLRU{capacity: capacity, table: list.New(), index: map[int64]*list.Element{}}
+}
+
+// access applies one read or write and reports whether it hit.
+func (r *refLRU) access(block int64, write bool) bool {
+	if write {
+		r.stats.Writes++
+	} else {
+		r.stats.Reads++
+	}
+	if el, ok := r.index[block]; ok {
+		r.table.MoveToFront(el)
+		if write {
+			r.stats.WriteHits++
+			r.stats.FlashBlockWrites++
+		} else {
+			r.stats.ReadHits++
+		}
+		return true
+	}
+	if r.table.Len() >= r.capacity {
+		el := r.table.Back()
+		r.table.Remove(el)
+		delete(r.index, el.Value.(int64))
+		r.stats.Evictions++
+	}
+	r.index[block] = r.table.PushFront(block)
+	r.stats.FlashBlockWrites++
+	return false
+}
+
+// order lists the cached blocks from most to least recently used.
+func (r *refLRU) order() []int64 {
+	out := make([]int64, 0, r.table.Len())
+	for el := r.table.Front(); el != nil; el = el.Next() {
+		out = append(out, el.Value.(int64))
+	}
+	return out
+}
+
+// order walks Sim's LRU list from the MRU head.
+func (s *Sim) order() []int64 {
+	out := make([]int64, 0, len(s.keys))
+	for slot := s.head; slot != nilSlot; slot = s.next[slot] {
+		out = append(out, s.keys[slot])
+	}
+	return out
+}
+
+// The slice-backed LRU must reproduce the container/list LRU exactly:
+// same counters after every operation and the same recency order.
+func TestLRUMatchesListReference(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, 64} {
+		s, err := New(Config{CacheBytes: int64(capacity) * 512, BlockBytes: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefLRU(capacity)
+		r := stats.NewRNG(uint64(capacity))
+		for i := 0; i < 5000; i++ {
+			b := r.Int63n(int64(3 * capacity))
+			write := r.Bool(0.3)
+			refHit := ref.access(b, write)
+			if write {
+				s.Write(b)
+			} else if hit := s.Read(b); hit != refHit {
+				t.Fatalf("capacity %d, op %d: read of %d hit=%v, reference %v", capacity, i, b, hit, refHit)
+			}
+			if got, want := s.Stats(), ref.stats; got != want {
+				t.Fatalf("capacity %d, op %d: stats %+v, reference %+v", capacity, i, got, want)
+			}
+		}
+		got, want := s.order(), ref.order()
+		if len(got) != len(want) {
+			t.Fatalf("capacity %d: %d cached blocks, reference %d", capacity, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("capacity %d: recency order %v, reference %v", capacity, got, want)
+			}
+		}
 	}
 }

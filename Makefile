@@ -30,6 +30,8 @@
 #                     /obs/shards and /obs/energy serve their schemas
 #   make cover      — per-package coverage, with an 80% floor on
 #                     internal/obs/...
+#   make perfbench-test — the benchmark's faithfulness tests (perfbench is
+#                     a module of its own, so ./... does not reach it)
 
 GO ?= go
 N ?= 5
@@ -40,9 +42,9 @@ BENCH_NEW ?= BENCH_5.json
 # machine had fewer than 4 CPUs or GOMAXPROCS).
 EFF_FLOOR ?= 0.4
 
-.PHONY: check vet lint build test test-race fmt bench bench-json bench-diff shard-diff shard-race speedup-smoke slo-diff energy-diff fleet-diff introspect-smoke cover
+.PHONY: check vet lint build test test-race perfbench-test fmt bench bench-json bench-diff shard-diff shard-race speedup-smoke slo-diff energy-diff fleet-diff introspect-smoke cover
 
-check: vet lint build test-race fmt shard-diff shard-race speedup-smoke slo-diff energy-diff fleet-diff introspect-smoke
+check: vet lint build test-race perfbench-test fmt shard-diff shard-race speedup-smoke slo-diff energy-diff fleet-diff introspect-smoke
 
 vet:
 	$(GO) vet ./...
@@ -64,6 +66,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# perfbench's faithfulness tests check that each benchmark workload, at
+# the default seed, reproduces what whbench or whsim prints for the job
+# it times. perfbench is its own module (it reaches the program through a
+# replace directive), so the root ./... patterns above never run them.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # The shard engine is the only package whose correctness depends on
 # goroutine scheduling; -cpu 1,4 runs its race tests under both a

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -166,5 +167,41 @@ func TestQuickZipfRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The guide-table lookup must return exactly the rank a binary search of
+// the whole CDF returns, for every uniform: random ones, every CDF value,
+// and the floats on either side of each CDF value, where an off-by-one
+// bucket would show.
+func TestZipfGuideMatchesFullSearch(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 2000, 20000, 1 << 20} {
+		for _, s := range []float64{0.5, 0.9, 1, 1.2, 3} {
+			z, err := NewZipf(n, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(z.guide) > guideLimit+1 {
+				t.Fatalf("n=%d s=%g: guide has %d entries, cap is %d", n, s, len(z.guide), guideLimit+1)
+			}
+			check := func(u float64) {
+				if u < 0 || u >= 1 {
+					return // outside Float64's range
+				}
+				if got, want := z.invert(u), sort.SearchFloat64s(z.cdf, u); got != want {
+					t.Fatalf("n=%d s=%g u=%v: guide lookup %d, full search %d", n, s, u, got, want)
+				}
+			}
+			r := NewRNG(uint64(n) ^ math.Float64bits(s))
+			for i := 0; i < 200000; i++ {
+				check(r.Float64())
+			}
+			check(0)
+			for _, c := range z.cdf {
+				check(c)
+				check(math.Nextafter(c, 0))
+				check(math.Nextafter(c, 2))
+			}
+		}
 	}
 }

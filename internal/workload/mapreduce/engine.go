@@ -3,7 +3,8 @@ package mapreduce
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // KV is one key/value pair.
@@ -139,9 +140,7 @@ func Run(d *DFS, job Job) (JobResult, error) {
 	var output []byte
 	for p := 0; p < job.ReduceTasks; p++ {
 		st := TaskStats{Kind: "reduce", Node: -1}
-		part := partitions[p]
-		sort.SliceStable(part, func(i, j int) bool { return part[i].Key < part[j].Key })
-		for _, kv := range part {
+		for _, kv := range partitions[p] {
 			st.InputBytes += int64(len(kv.Key) + len(kv.Value) + 2)
 		}
 		emit := func(k, v string) {
@@ -149,17 +148,10 @@ func Run(d *DFS, job Job) (JobResult, error) {
 			output = append(output, line...)
 			st.OutputBytes += int64(len(line))
 		}
-		for i := 0; i < len(part); {
-			j := i
-			var values []string
-			for j < len(part) && part[j].Key == part[i].Key {
-				values = append(values, part[j].Value)
-				j++
-			}
+		groupByKey(partitions[p], func(key string, values []string) {
 			st.Records++
-			job.Reducer.Reduce(part[i].Key, values, emit)
-			i = j
-		}
+			job.Reducer.Reduce(key, values, emit)
+		})
 		res.OutputBytes += st.OutputBytes
 		res.ReduceTasks = append(res.ReduceTasks, st)
 	}
@@ -172,20 +164,59 @@ func Run(d *DFS, job Job) (JobResult, error) {
 
 // combine groups map output by key and runs the combiner per group.
 func combine(in []KV, c Combiner) []KV {
-	sort.SliceStable(in, func(i, j int) bool { return in[i].Key < in[j].Key })
 	var out []KV
 	emit := func(k, v string) { out = append(out, KV{k, v}) }
-	for i := 0; i < len(in); {
-		j := i
-		var values []string
-		for j < len(in) && in[j].Key == in[i].Key {
-			values = append(values, in[j].Value)
-			j++
-		}
-		c.Reduce(in[i].Key, values, emit)
-		i = j
-	}
+	groupByKey(in, func(key string, values []string) { c.Reduce(key, values, emit) })
 	return out
+}
+
+// groupByKey calls fn once per distinct key of pairs, in ascending key
+// order, with that key's values in emission order: the groups a stable
+// sort by key followed by a scan for runs of equal keys would deliver.
+// It hashes pairs into groups and sorts only the distinct keys, so the
+// cost is one map lookup per pair plus a sort of the key set, which for
+// word count is far smaller than the pair list.
+func groupByKey(pairs []KV, fn func(key string, values []string)) {
+	ids := make([]int32, len(pairs))
+	index := make(map[string]int32)
+	var keys []string
+	var counts []int
+	for i, kv := range pairs {
+		g, ok := index[kv.Key]
+		if !ok {
+			g = int32(len(keys))
+			index[kv.Key] = g
+			keys = append(keys, kv.Key)
+			counts = append(counts, 0)
+		}
+		ids[i] = g
+		counts[g]++
+	}
+	order := make([]int32, len(keys))
+	for g := range order {
+		order[g] = int32(g)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
+
+	// Lay the groups out back to back in key order; next[g] is where
+	// group g's next value goes.
+	next := make([]int, len(keys))
+	off := 0
+	for _, g := range order {
+		next[g] = off
+		off += counts[g]
+	}
+	values := make([]string, len(pairs))
+	for i, kv := range pairs {
+		values[next[ids[i]]] = kv.Value
+		next[ids[i]]++
+	}
+	off = 0
+	for _, g := range order {
+		end := off + counts[g]
+		fn(keys[g], values[off:end:end])
+		off = end
+	}
 }
 
 // partitionOf hashes a key into a reduce bucket (Hadoop's default

@@ -88,19 +88,35 @@ func GenerateCorpus(d *DFS, name string, cfg CorpusConfig) error {
 	if err != nil {
 		return err
 	}
+	words := vocabulary(cfg.Vocabulary)
 	r := stats.NewRNG(cfg.Seed)
-	var b strings.Builder
-	b.Grow(int(cfg.TotalBytes) + 256)
-	for int64(b.Len()) < cfg.TotalBytes {
-		for w := 0; w < cfg.WordsPerLine; w++ {
-			if w > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(wordOf(z.Rank(r)))
-		}
-		b.WriteByte('\n')
+	buf := make([]byte, 0, cfg.TotalBytes+256)
+	for int64(len(buf)) < cfg.TotalBytes {
+		buf = appendLine(buf, words, z, r, cfg.WordsPerLine)
 	}
-	return d.Create(name, []byte(b.String()))
+	return d.Create(name, buf)
+}
+
+// appendLine appends one record of n Zipf-drawn words, space-separated
+// and newline-terminated.
+func appendLine(buf []byte, words []string, z *stats.Zipf, r *stats.RNG, n int) []byte {
+	for w := 0; w < n; w++ {
+		if w > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = append(buf, words[z.Rank(r)]...)
+	}
+	return append(buf, '\n')
+}
+
+// vocabulary renders ranks [0, n) once, so generation indexes a table
+// instead of formatting a word per draw.
+func vocabulary(n int) []string {
+	words := make([]string, n)
+	for i := range words {
+		words[i] = wordOf(i)
+	}
+	return words
 }
 
 // wordOf renders rank i as a deterministic pseudo-word ("w" + base26).
@@ -143,24 +159,19 @@ func RunWrite(d *DFS, prefix string, tasks int, bytesPerTask int, cfg CorpusConf
 	if err != nil {
 		return nil, err
 	}
+	words := vocabulary(cfg.Vocabulary)
 	r := stats.NewRNG(cfg.Seed)
 	var out []TaskStats
+	// One buffer serves every task: Create copies the bytes it stores.
+	data := make([]byte, 0, bytesPerTask+256)
 	for t := 0; t < tasks; t++ {
-		var b strings.Builder
-		b.Grow(bytesPerTask + 64)
+		data = data[:0]
 		records := int64(0)
-		for b.Len() < bytesPerTask {
-			for w := 0; w < cfg.WordsPerLine; w++ {
-				if w > 0 {
-					b.WriteByte(' ')
-				}
-				b.WriteString(wordOf(z.Rank(r)))
-			}
-			b.WriteByte('\n')
+		for len(data) < bytesPerTask {
+			data = appendLine(data, words, z, r, cfg.WordsPerLine)
 			records++
 		}
 		name := fmt.Sprintf("%s-%05d", prefix, t)
-		data := []byte(b.String())
 		if err := d.Create(name, data); err != nil {
 			return nil, err
 		}

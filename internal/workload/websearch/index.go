@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"warehousesim/internal/stats"
 )
@@ -91,6 +92,18 @@ type Index struct {
 	queryZipf *stats.Zipf
 	// kwCount draws the number of keywords per query.
 	kwCount *stats.Empirical
+	// scratch pools the *searchScratch accumulators Search borrows, so
+	// concurrent searches of one index each get their own.
+	scratch sync.Pool
+}
+
+// searchScratch is one search's dense score accumulator: acc[d] is
+// document d's running BM25 score and touched lists the documents with a
+// non-zero score, in first-scored order. Search leaves acc all zero and
+// touched empty when it returns the scratch to the pool.
+type searchScratch struct {
+	acc     []float64
+	touched []int32
 }
 
 // Build generates the corpus and indexes it. Deterministic for a given
@@ -127,8 +140,13 @@ func Build(cfg Config) (*Index, error) {
 		kwCount:   kwCount,
 	}
 
-	// Generate documents and accumulate term frequencies.
-	tf := map[int32]uint16{}
+	// Generate documents and accumulate term frequencies in a dense
+	// per-term counter; touched lists the terms of the current document
+	// in first-occurrence order, so resetting costs only what was used.
+	// Documents are generated in increasing id, so every posting list
+	// comes out doc-ordered, as merging needs.
+	tf := make([]uint16, cfg.VocabSize)
+	var touched []int32
 	totalLen := 0.0
 	for d := 0; d < cfg.NumDocs; d++ {
 		length := 1 + int(float64(cfg.MeanDocLen)*rng.ExpFloat64())
@@ -137,29 +155,22 @@ func Build(cfg Config) (*Index, error) {
 		}
 		ix.docLen[d] = int32(length)
 		totalLen += float64(length)
-		for k := range tf {
-			delete(tf, k)
-		}
 		for i := 0; i < length; i++ {
 			t := int32(corpusZipf.Rank(rng))
+			if tf[t] == 0 {
+				touched = append(touched, t)
+			}
 			if tf[t] < math.MaxUint16 {
 				tf[t]++
 			}
 		}
-		for t, f := range tf {
-			ix.postings[t] = append(ix.postings[t], Posting{Doc: int32(d), TF: f})
+		for _, t := range touched {
+			ix.postings[t] = append(ix.postings[t], Posting{Doc: int32(d), TF: tf[t]})
+			tf[t] = 0
 		}
+		touched = touched[:0]
 	}
 	ix.avgDL = totalLen / float64(cfg.NumDocs)
-
-	// Posting lists must be doc-ordered for merging; map iteration above
-	// appends docs in increasing d already, so they are sorted. Verify
-	// cheaply in long lists' interest.
-	for _, pl := range ix.postings {
-		if !sort.SliceIsSorted(pl, func(i, j int) bool { return pl[i].Doc < pl[j].Doc }) {
-			sort.Slice(pl, func(i, j int) bool { return pl[i].Doc < pl[j].Doc })
-		}
-	}
 
 	// Compressed on-disk form of every posting list.
 	ix.compressed = make([][]byte, cfg.VocabSize)
@@ -247,24 +258,40 @@ const (
 	bm25B  = 0.75
 )
 
+// hitHeap is a min-heap of the current top-k, worst hit at the root.
 type hitHeap []ScoredDoc
 
 func (h hitHeap) Len() int           { return len(h) }
-func (h hitHeap) Less(i, j int) bool { return h[i].Score < h[j].Score }
+func (h hitHeap) Less(i, j int) bool { return ranksBelow(h[i], h[j]) }
 func (h hitHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *hitHeap) Push(x any)        { *h = append(*h, x.(ScoredDoc)) }
 func (h *hitHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-func (h hitHeap) worst() float64     { return h[0].Score }
+
+// ranksBelow reports whether a ranks below b in the result order:
+// a lower score, or an equal score and a larger document id. It is a
+// total order on distinct documents, so the top-k is a pure function of
+// the scores.
+func ranksBelow(a, b ScoredDoc) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
+	}
+	return a.Doc > b.Doc
+}
 
 // Search executes the query with term-at-a-time BM25 scoring and returns
-// the top-k documents plus the work statistics.
+// the top-k documents, best first (ties broken by lower document id),
+// plus the work statistics.
 func (ix *Index) Search(q Query, k int) ([]ScoredDoc, SearchStats) {
 	var st SearchStats
 	if len(q.Terms) == 0 || k <= 0 {
 		return nil, st
 	}
+	sc, _ := ix.scratch.Get().(*searchScratch)
+	if sc == nil {
+		sc = &searchScratch{acc: make([]float64, ix.cfg.NumDocs)}
+	}
+	acc, touched := sc.acc, sc.touched[:0]
 	n := float64(ix.cfg.NumDocs)
-	acc := make(map[int32]float64, 256)
 	for _, t := range q.Terms {
 		if t < 0 || t >= len(ix.postings) {
 			continue
@@ -283,28 +310,35 @@ func (ix *Index) Search(q Query, k int) ([]ScoredDoc, SearchStats) {
 			tf := float64(p.TF)
 			dl := float64(ix.docLen[p.Doc])
 			score := idf * tf * (bm25K1 + 1) / (tf + bm25K1*(1-bm25B+bm25B*dl/ix.avgDL))
+			// Every BM25 term score is positive (idf > 0 as df <= N,
+			// tf >= 1), so a zero accumulator means an unscored doc.
+			if acc[p.Doc] == 0 {
+				touched = append(touched, p.Doc)
+			}
 			acc[p.Doc] += score
 			st.PostingsScored++
 		}
 	}
 
 	h := make(hitHeap, 0, k)
-	for doc, score := range acc {
-		if len(h) < k {
-			heap.Push(&h, ScoredDoc{Doc: doc, Score: score})
-		} else if score > h.worst() {
-			heap.Pop(&h)
-			heap.Push(&h, ScoredDoc{Doc: doc, Score: score})
+	for _, doc := range touched {
+		hit := ScoredDoc{Doc: doc, Score: acc[doc]}
+		acc[doc] = 0
+		switch {
+		case len(h) < k:
+			h = append(h, hit)
+			if len(h) == k {
+				heap.Init(&h)
+			}
+		case ranksBelow(h[0], hit):
+			h[0] = hit
+			heap.Fix(&h, 0)
 		}
 	}
-	hits := make([]ScoredDoc, len(h))
-	copy(hits, h)
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Doc < hits[j].Doc
-	})
+	hits := []ScoredDoc(h)
+	sort.Slice(hits, func(i, j int) bool { return ranksBelow(hits[j], hits[i]) })
+	sc.touched = touched[:0]
+	ix.scratch.Put(sc)
 	// ~300 bytes of snippet+metadata per hit plus page chrome.
 	st.ResponseBytes = 2048 + 300*len(hits)
 	return hits, st

@@ -2,6 +2,8 @@ package websearch
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -281,5 +283,62 @@ func TestQuickSearchStatsConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceTopK scores q into a map, fully sorts every candidate by
+// score (ties to the lower doc id) and keeps the first k: the result
+// Search's heap must reproduce.
+func referenceTopK(ix *Index, q Query, k int) []ScoredDoc {
+	n := float64(ix.cfg.NumDocs)
+	acc := map[int32]float64{}
+	for _, t := range q.Terms {
+		if t < 0 || t >= len(ix.postings) || len(ix.postings[t]) == 0 {
+			continue
+		}
+		df := float64(len(ix.postings[t]))
+		idf := math.Log(1 + (n-df+0.5)/(df+0.5))
+		for _, p := range ix.postings[t] {
+			tf := float64(p.TF)
+			dl := float64(ix.docLen[p.Doc])
+			acc[p.Doc] += idf * tf * (bm25K1 + 1) / (tf + bm25K1*(1-bm25B+bm25B*dl/ix.avgDL))
+		}
+	}
+	all := make([]ScoredDoc, 0, len(acc))
+	for d, s := range acc {
+		all = append(all, ScoredDoc{Doc: d, Score: s})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Score != all[j].Score {
+			return all[i].Score > all[j].Score
+		}
+		return all[i].Doc < all[j].Doc
+	})
+	if len(all) > k {
+		all = all[:k]
+	}
+	return all
+}
+
+// Hits must be a pure function of the query: tied scores at the k-th
+// slot go to the lower doc id, so repeating a query, or comparing with a
+// full sort, gives the same list.
+func TestSearchTopKDeterministic(t *testing.T) {
+	ix, err := Build(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := stats.NewRNG(3)
+	for i := 0; i < 500; i++ {
+		q := ix.NewQuery(r)
+		want := referenceTopK(ix, q, 10)
+		first, st1 := ix.Search(q, 10)
+		again, st2 := ix.Search(q, 10)
+		if !reflect.DeepEqual(first, want) || !reflect.DeepEqual(again, want) {
+			t.Fatalf("query %d %v: hits %v then %v, full-sort reference %v", i, q.Terms, first, again, want)
+		}
+		if st1 != st2 {
+			t.Fatalf("query %d: stats %+v then %+v", i, st1, st2)
+		}
 	}
 }

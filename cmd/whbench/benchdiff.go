@@ -60,9 +60,8 @@ func allocSlack(oldV, floor int64) int64 {
 // sameMachine reports whether both records carry the same machine
 // fingerprint: CPU model, CPU count, and GOMAXPROCS. Records that
 // predate any fingerprint component (or come from a platform without
-// one) never match: ns/op and parallel-efficiency comparability cannot
-// be assumed, so it must be proven by matching fingerprints — a
-// GOMAXPROCS=1 record is serial regardless of the CPU count.
+// one) never match: ns/op comparability cannot be assumed, so it must
+// be proven by matching fingerprints.
 func sameMachine(oldDoc, newDoc benchDoc) bool {
 	return oldDoc.CPUModel != "" && oldDoc.CPUModel == newDoc.CPUModel &&
 		oldDoc.CPUs == newDoc.CPUs &&
@@ -118,64 +117,10 @@ func diffBenchDocs(oldDoc, newDoc benchDoc, nsTolerance float64, gateNs bool) []
 	return out
 }
 
-// kernelEfficiencyAt returns the record's kernel-workload efficiency
-// point at the given shard count, nil when the record has no such
-// point (old schema, or the rows were missing).
-func kernelEfficiencyAt(doc benchDoc, shards int) *efficiencyPoint {
-	for i := range doc.ParallelCurve {
-		if p := &doc.ParallelCurve[i]; p.Workload == "kernel" && p.Shards == shards {
-			return p
-		}
-	}
-	return nil
-}
-
-// diffEfficiency handles the parallel-efficiency side of bench-diff.
-// Efficiency figures are only meaningful within one machine
-// fingerprint, so a cross-fingerprint old-vs-new comparison is refused
-// with a clear error rather than reported as a bogus delta. The floor
-// (when > 0) gates the NEW record's own kernel efficiency at
-// smokeShards shards — shards=N vs shards=1 rows of one record are
-// fingerprint-matched by construction — and is skipped, loudly, when
-// the recording machine could not physically show a speedup (fewer
-// CPUs or GOMAXPROCS than shards).
-func diffEfficiency(oldDoc, newDoc benchDoc, floor float64) error {
-	oldPt, newPt := kernelEfficiencyAt(oldDoc, smokeShards), kernelEfficiencyAt(newDoc, smokeShards)
-	if oldPt != nil && newPt != nil {
-		if !sameMachine(oldDoc, newDoc) {
-			fmt.Printf("parallel efficiency: refusing to compare across machine fingerprints (old %s vs new %s): efficiency deltas are meaningless across machines\n",
-				fingerprint(oldDoc), fingerprint(newDoc))
-			if floor > 0 {
-				return fmt.Errorf("bench-diff: -eff-floor %.2f needs fingerprint-matched records to anchor the comparison; re-record the baseline on this machine", floor)
-			}
-		} else {
-			fmt.Printf("parallel efficiency (kernel, %d shards): %.2f -> %.2f\n",
-				smokeShards, oldPt.Efficiency, newPt.Efficiency)
-		}
-	}
-	if floor <= 0 {
-		return nil
-	}
-	if newPt == nil {
-		return fmt.Errorf("bench-diff: -eff-floor %.2f but %s has no kernel efficiency point at %d shards (record it with a current -bench-json)", floor, "the new record", smokeShards)
-	}
-	if newDoc.CPUs < smokeShards || newDoc.GOMAXPROCS < smokeShards {
-		fmt.Printf("parallel efficiency floor skipped: the new record's machine (%s) cannot run %d shards in parallel\n",
-			fingerprint(newDoc), smokeShards)
-		return nil
-	}
-	if newPt.Efficiency < floor {
-		return fmt.Errorf("bench-diff: kernel parallel efficiency %.2f at %d shards below the %.2f floor (speedup %.2fx)",
-			newPt.Efficiency, smokeShards, floor, newPt.Speedup)
-	}
-	fmt.Printf("parallel efficiency floor met: %.2f >= %.2f at %d shards\n", newPt.Efficiency, floor, smokeShards)
-	return nil
-}
-
 // runBenchDiff prints the comparison table and returns an error when
 // any benchmark regressed — so `whbench -bench-diff old.json new.json`
 // exits non-zero and CI can gate on it.
-func runBenchDiff(oldPath, newPath string, nsTolerance, effFloor float64) error {
+func runBenchDiff(oldPath, newPath string, nsTolerance float64) error {
 	oldDoc, err := readBenchDoc(oldPath)
 	if err != nil {
 		return err
@@ -217,9 +162,6 @@ func runBenchDiff(oldPath, newPath string, nsTolerance, effFloor float64) error 
 	}
 	if bad > 0 {
 		return fmt.Errorf("bench-diff: %d of %d benchmarks regressed", bad, len(lines))
-	}
-	if err := diffEfficiency(oldDoc, newDoc, effFloor); err != nil {
-		return err
 	}
 	if gateNs {
 		fmt.Printf("no regressions (%d benchmarks, ns/op tolerance %.0f%%)\n", len(lines), nsTolerance*100)

@@ -141,112 +141,15 @@ func TestReadBenchDocValidatesSchema(t *testing.T) {
 	}
 }
 
-// TestParallelEfficiencyDerivation: the summary derives from the two
-// ShardedTrial rows and is nil when either is absent, so old records
-// (which predate the field) neither produce nor require it.
-func TestParallelEfficiencyDerivation(t *testing.T) {
-	doc := benchDoc{CPUs: 8, Benchmarks: []benchRecord{
-		{Name: "ShardedTrial", NsPerOp: 4e9},
-		{Name: "ShardedTrial4", NsPerOp: 2e9},
-	}}
-	p := parallelEfficiency(doc)
-	if p == nil {
-		t.Fatal("summary missing with both rows present")
+// TestReadBenchDocLoadsOlderRecords: records that carry the retired
+// parallel-efficiency blocks still load, so bench-diff can compare
+// against them.
+func TestReadBenchDocLoadsOlderRecords(t *testing.T) {
+	d, err := readBenchDoc(filepath.Join("..", "..", "BENCH_5.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.Speedup != 2 || p.Efficiency != 0.5 || p.Shards != 4 || p.CPUs != 8 {
-		t.Errorf("summary = %+v", p)
-	}
-	if parallelEfficiency(benchDoc{Benchmarks: []benchRecord{{Name: "ShardedTrial", NsPerOp: 1}}}) != nil {
-		t.Error("summary produced without the sharded row")
-	}
-}
-
-// TestEfficiencyCurve: the curve derives one point per (workload,
-// shard-count) pair whose rows are both present, and skips the rest —
-// so records from older suites (no KernelTrial rows) produce a partial
-// curve rather than an error.
-func TestEfficiencyCurve(t *testing.T) {
-	d := benchDoc{Benchmarks: []benchRecord{
-		{Name: "ShardedTrial", NsPerOp: 8e9},
-		{Name: "ShardedTrial2", NsPerOp: 5e9},
-		{Name: "KernelTrial", NsPerOp: 4e9},
-		{Name: "KernelTrial4", NsPerOp: 1e9},
-	}}
-	curve := efficiencyCurve(d)
-	if len(curve) != 2 {
-		t.Fatalf("curve has %d points, want 2 (rack@2, kernel@4): %+v", len(curve), curve)
-	}
-	rack, kernel := curve[0], curve[1]
-	if rack.Workload != "rack" || rack.Shards != 2 || rack.Speedup != 1.6 || rack.Efficiency != 0.8 {
-		t.Errorf("rack point = %+v", rack)
-	}
-	if kernel.Workload != "kernel" || kernel.Shards != 4 || kernel.Speedup != 4 || kernel.Efficiency != 1 {
-		t.Errorf("kernel point = %+v", kernel)
-	}
-	d.ParallelCurve = curve
-	if p := kernelEfficiencyAt(d, 4); p == nil || p.Efficiency != 1 {
-		t.Errorf("kernelEfficiencyAt(4) = %+v", p)
-	}
-	if kernelEfficiencyAt(d, 8) != nil {
-		t.Error("kernelEfficiencyAt(8) found a point that was never derived")
-	}
-	if efficiencyCurve(benchDoc{}) != nil {
-		t.Error("empty record produced a curve")
-	}
-}
-
-// effDoc builds a record with a kernel efficiency point at smokeShards.
-func effDoc(model string, cpus, maxprocs int, eff float64) benchDoc {
-	d := doc()
-	d.CPUModel, d.CPUs, d.GOMAXPROCS = model, cpus, maxprocs
-	d.ParallelCurve = []efficiencyPoint{{
-		Workload: "kernel", Shards: smokeShards,
-		Speedup: eff * smokeShards, Efficiency: eff,
-	}}
-	return d
-}
-
-func TestDiffEfficiencyFloor(t *testing.T) {
-	same := func(eff float64) (benchDoc, benchDoc) {
-		return effDoc("cpu-x", 8, 8, 0.50), effDoc("cpu-x", 8, 8, eff)
-	}
-	// Floor met: no error.
-	oldD, newD := same(0.45)
-	if err := diffEfficiency(oldD, newD, 0.40); err != nil {
-		t.Errorf("efficiency 0.45 over 0.40 floor: %v", err)
-	}
-	// Floor violated: error.
-	oldD, newD = same(0.30)
-	if err := diffEfficiency(oldD, newD, 0.40); err == nil {
-		t.Error("efficiency 0.30 under 0.40 floor not rejected")
-	}
-	// No floor requested: never an error.
-	if err := diffEfficiency(oldD, newD, 0); err != nil {
-		t.Errorf("floorless diff errored: %v", err)
-	}
-	// The machine cannot run smokeShards in parallel: floor skipped,
-	// even though the efficiency figure is under it.
-	weak := effDoc("cpu-1", 1, 1, 0.24)
-	if err := diffEfficiency(weak, weak, 0.40); err != nil {
-		t.Errorf("floor not skipped on a %d-CPU record: %v", weak.CPUs, err)
-	}
-	// New record has no kernel point at all: the floor cannot be
-	// evaluated, which is an error (the gate was explicitly requested).
-	if err := diffEfficiency(oldD, doc(), 0.40); err == nil {
-		t.Error("missing kernel point accepted with a floor set")
-	}
-}
-
-func TestDiffEfficiencyCrossFingerprint(t *testing.T) {
-	oldD := effDoc("cpu-x", 8, 8, 0.50)
-	newD := effDoc("cpu-y", 8, 8, 0.50)
-	// Cross-fingerprint with a floor: refused with an error, even though
-	// the new record on its own would pass the floor.
-	if err := diffEfficiency(oldD, newD, 0.40); err == nil {
-		t.Error("cross-fingerprint efficiency comparison with a floor not refused")
-	}
-	// Without a floor the refusal is informational only.
-	if err := diffEfficiency(oldD, newD, 0); err != nil {
-		t.Errorf("floorless cross-fingerprint diff errored: %v", err)
+	if len(d.Benchmarks) == 0 {
+		t.Fatal("BENCH_5.json loaded with no benchmarks")
 	}
 }

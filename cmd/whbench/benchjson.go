@@ -41,17 +41,14 @@ type benchDoc struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	GitRev    string `json:"git_rev"`
-	// CPUs is runtime.NumCPU() on the recording machine. Parallel-kernel
-	// numbers (ShardedTrial*, KernelTrial*) only show wall-clock speedup
-	// when CPUs exceeds the shard count — a record taken on a one-CPU
-	// container honestly documents that its sharded rows measure
-	// synchronization overhead, not speedup.
+	// CPUs is runtime.NumCPU() on the recording machine, part of the
+	// machine fingerprint.
 	CPUs int `json:"cpus"`
 	// GOMAXPROCS is the scheduler's parallelism cap at recording time —
 	// part of the machine fingerprint because a GOMAXPROCS=1 record on
 	// a 16-CPU machine is serial no matter what CPUs says. Absent (0)
 	// in records predating the field; such records never fingerprint-
-	// match, so their ns/op and efficiency figures are not gated.
+	// match, so their ns/op figures are not gated.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	// CPUModel fingerprints the recording machine (the kernel's CPU
 	// model string; empty when unavailable). bench-diff gates ns/op only
@@ -62,45 +59,6 @@ type benchDoc struct {
 	Seed       uint64        `json:"seed"`
 	WallSec    float64       `json:"wall_sec"`
 	Benchmarks []benchRecord `json:"benchmarks"`
-	// Parallel summarizes the sharded kernel's parallel efficiency,
-	// derived from the ShardedTrial rows already in Benchmarks. Derived
-	// and machine-dependent, so bench-diff never treats it as a plain
-	// regression figure (old records without the field load fine —
-	// plain json.Unmarshal leaves it nil); -eff-floor gates the curve
-	// explicitly, and only fingerprint-matched.
-	Parallel *parallelSummary `json:"parallel_efficiency,omitempty"`
-	// ParallelCurve is the per-shard-count efficiency curve for both
-	// workloads: "rack" (the SAN-coupled ShardedTrial model, whose
-	// efficiency is physics-bounded) and "kernel" (the compute-dense
-	// KernelTrial load, whose efficiency measures the engine itself).
-	ParallelCurve []efficiencyPoint `json:"parallel_efficiency_curve,omitempty"`
-}
-
-// efficiencyPoint is one (workload, shard count) scaling measurement:
-// Speedup is the workload's shards=1 ns/op over this row's ns/op,
-// Efficiency divides by the shard count.
-type efficiencyPoint struct {
-	Workload        string  `json:"workload"`
-	Shards          int     `json:"shards"`
-	BaselineNsPerOp float64 `json:"baseline_ns_per_op"`
-	ShardedNsPerOp  float64 `json:"sharded_ns_per_op"`
-	Speedup         float64 `json:"speedup"`
-	Efficiency      float64 `json:"efficiency"`
-}
-
-// parallelSummary is the whbench parallel-efficiency record: how much
-// wall-clock the sharded kernel's extra heaps actually buy on this
-// machine. Speedup is baseline/sharded ns_per_op; Efficiency divides
-// by the shard count (1.0 = perfect scaling; below 1/shards means the
-// synchronization costs more than the parallelism returns, expected
-// whenever CPUs < shards).
-type parallelSummary struct {
-	BaselineNsPerOp float64 `json:"baseline_ns_per_op"`
-	ShardedNsPerOp  float64 `json:"sharded_ns_per_op"`
-	Shards          int     `json:"shards"`
-	Speedup         float64 `json:"speedup"`
-	Efficiency      float64 `json:"efficiency"`
-	CPUs            int     `json:"cpus"`
 }
 
 // gitRev returns the short HEAD revision, or "unknown" when git or the
@@ -197,12 +155,9 @@ func membladeAccessTraced(seed uint64) func(*testing.B) {
 	}
 }
 
-// shardedTrial benchmarks one 64-board rack run (16 enclosures x 4
-// boards) on the sharded kernel at the given shard count. Results are
-// byte-identical at every shard count, so the shards=1 row is the
-// single-heap baseline and the shards=4 row shows what the conservative
-// synchronization costs (and, with >= 4 CPUs, what it buys).
-func shardedTrial(shards int, seed uint64) func(*testing.B) {
+// rackTrial benchmarks one 64-board rack run (16 enclosures x 4
+// boards) on the rack model's event heap.
+func rackTrial(seed uint64) func(*testing.B) {
 	return func(b *testing.B) {
 		cfg := cluster.Config{Server: platform.Desk()}
 		gen := workload.FixedGenerator{P: workload.WebsearchProfile()}
@@ -210,9 +165,7 @@ func shardedTrial(shards int, seed uint64) func(*testing.B) {
 		for i := 0; i < b.N; i++ {
 			opts := cluster.SimOptions{
 				Seed: seed, WarmupSec: 2, MeasureSec: 10, MaxClients: 512,
-				Topology: &cluster.ShardedTopology{
-					Enclosures: 16, BoardsPerEnclosure: 4, Shards: shards,
-				},
+				Topology: &cluster.RackTopology{Enclosures: 16, BoardsPerEnclosure: 4},
 			}
 			if _, err := cfg.Simulate(gen, opts); err != nil {
 				b.Fatal(err)
@@ -266,66 +219,6 @@ func zipfRank(seed uint64) func(*testing.B) {
 	}
 }
 
-// parallelEfficiency derives the sharded-kernel scaling summary from
-// the ShardedTrial/ShardedTrial4 rows, nil when either row is missing.
-func parallelEfficiency(doc benchDoc) *parallelSummary {
-	var base, sharded float64
-	for _, r := range doc.Benchmarks {
-		switch r.Name {
-		case "ShardedTrial":
-			base = r.NsPerOp
-		case "ShardedTrial4":
-			sharded = r.NsPerOp
-		}
-	}
-	if base <= 0 || sharded <= 0 {
-		return nil
-	}
-	const shards = 4 // ShardedTrial4's shard count
-	return &parallelSummary{
-		BaselineNsPerOp: base,
-		ShardedNsPerOp:  sharded,
-		Shards:          shards,
-		Speedup:         base / sharded,
-		Efficiency:      base / sharded / shards,
-		CPUs:            doc.CPUs,
-	}
-}
-
-// efficiencyCurve derives the per-shard-count scaling points from the
-// rack and kernel benchmark rows present in the record.
-func efficiencyCurve(doc benchDoc) []efficiencyPoint {
-	ns := map[string]float64{}
-	for _, r := range doc.Benchmarks {
-		ns[r.Name] = r.NsPerOp
-	}
-	var out []efficiencyPoint
-	for _, w := range []struct{ workload, baseRow, prefix string }{
-		{"rack", "ShardedTrial", "ShardedTrial"},
-		{"kernel", "KernelTrial", "KernelTrial"},
-	} {
-		base := ns[w.baseRow]
-		if base <= 0 {
-			continue
-		}
-		for _, shards := range []int{2, 4, 8} {
-			sharded := ns[fmt.Sprintf("%s%d", w.prefix, shards)]
-			if sharded <= 0 {
-				continue
-			}
-			out = append(out, efficiencyPoint{
-				Workload:        w.workload,
-				Shards:          shards,
-				BaselineNsPerOp: base,
-				ShardedNsPerOp:  sharded,
-				Speedup:         base / sharded,
-				Efficiency:      base / sharded / float64(shards),
-			})
-		}
-	}
-	return out
-}
-
 // writeBenchJSON runs the substrate micro-benchmark suite via
 // testing.Benchmark and writes a warehousesim-bench/v1 record to path.
 // The suite is the whsim hot path at three instrumentation levels plus
@@ -340,14 +233,7 @@ func writeBenchJSON(path string, seed uint64) error {
 		{"DESTrial", desTrial("plain", seed)},
 		{"DESTrialObs", desTrial("obs", seed)},
 		{"DESTrialTraced", desTrial("traced", seed)},
-		{"ShardedTrial", shardedTrial(1, seed)},
-		{"ShardedTrial2", shardedTrial(2, seed)},
-		{"ShardedTrial4", shardedTrial(4, seed)},
-		{"ShardedTrial8", shardedTrial(8, seed)},
-		{"KernelTrial", kernelTrial(1, seed)},
-		{"KernelTrial2", kernelTrial(2, seed)},
-		{"KernelTrial4", kernelTrial(4, seed)},
-		{"KernelTrial8", kernelTrial(8, seed)},
+		{"RackTrial", rackTrial(seed)},
 		{"MembladeAccess", membladeAccess(seed)},
 		{"MembladeAccessTraced", membladeAccessTraced(seed)},
 		{"FlashCacheOp", flashCacheOp(seed)},
@@ -388,16 +274,6 @@ func writeBenchJSON(path string, seed uint64) error {
 			r.AllocedBytesPerOp(), r.AllocsPerOp())
 	}
 	doc.WallSec = time.Since(start).Seconds()
-	doc.Parallel = parallelEfficiency(doc)
-	doc.ParallelCurve = efficiencyCurve(doc)
-	if p := doc.Parallel; p != nil {
-		fmt.Fprintf(os.Stderr, "whbench: parallel efficiency %.2f (speedup %.2fx over %d shards, %d CPUs)\n",
-			p.Efficiency, p.Speedup, p.Shards, p.CPUs)
-	}
-	for _, pt := range doc.ParallelCurve {
-		fmt.Fprintf(os.Stderr, "whbench: %s workload at %d shards: speedup %.2fx, efficiency %.2f\n",
-			pt.Workload, pt.Shards, pt.Speedup, pt.Efficiency)
-	}
 
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -14,7 +14,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -27,7 +26,6 @@ import (
 	"warehousesim/internal/cooling"
 	"warehousesim/internal/core"
 	"warehousesim/internal/core/cliflags"
-	"warehousesim/internal/des/shard"
 	"warehousesim/internal/metrics"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/energy"
@@ -40,56 +38,12 @@ import (
 	"warehousesim/internal/workload"
 )
 
-// schemaShards versions the /obs/shards live document.
-const schemaShards = "warehousesim-shards/v1"
-
-// shardsDoc is the /obs/shards snapshot: the shard engine's live
-// wall-clock counters. Flat runs serve it with Shards 0 and no stats,
-// so a poller can tell "flat model" from "not published yet" (503).
-type shardsDoc struct {
-	Schema       string            `json:"schema"`
-	Phase        string            `json:"phase"`
-	Shards       int               `json:"shards"`
-	LookaheadSec float64           `json:"lookahead_sec"`
-	Stats        []shard.LiveStats `json:"stats"`
-}
-
-func liveShardStats(live cluster.LiveHandles) []shard.LiveStats {
-	if live.ShardStats == nil {
-		return []shard.LiveStats{}
-	}
-	return live.ShardStats()
-}
-
-// placementInfo renders the run's placement for the manifest: the
-// strategy name and the enclosure-to-shard assignment (enclosure e
-// went to shard assignment[e]). It normalizes the options the same way
-// Simulate does, so the recorded packing is exactly the one the run
-// used, and the assignment is a pure function of the topology
-// (PlacementOf) — the manifest alone reproduces it.
-func placementInfo(opt cluster.SimOptions) (strategy, assignment string) {
-	n, err := opt.Normalize()
-	if err != nil {
-		return "", ""
-	}
-	t := rackTopoOf(n.Topology)
-	if t == nil {
-		return "", ""
-	}
-	asn := t.PlacementOf()
-	parts := make([]string, len(asn))
-	for e, s := range asn {
-		parts[e] = strconv.Itoa(s)
-	}
-	return t.Placement, strings.Join(parts, ",")
-}
-
 // rackTopoOf returns the per-rack topology behind a Topology value: the
 // rack itself, or a fleet's rack template (which every rack in the
 // fleet instantiates). Nil for the flat model.
-func rackTopoOf(t cluster.Topology) *cluster.ShardedTopology {
+func rackTopoOf(t cluster.Topology) *cluster.RackTopology {
 	switch v := t.(type) {
-	case *cluster.ShardedTopology:
+	case *cluster.RackTopology:
 		return v
 	case *cluster.FleetTopology:
 		return &v.Rack
@@ -175,7 +129,7 @@ func main() {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "seed", "measure", "probe-interval", "trace-every", "par",
-				"shards", "enclosures", "boards", "clients-per-board", "shard-diag",
+				"shards", "enclosures", "boards", "clients-per-board",
 				"racks", "hot-racks", "hot-set", "balancer":
 				log.Printf("warning: -%s has no effect without -des", f.Name)
 			}
@@ -204,13 +158,12 @@ func main() {
 		})
 	}
 	if !sharding.Enabled() && !fleet.Enabled() {
-		// -shard-diag without -shards is an error (cliflags.Validate above);
-		// the sizing flags merely default and only warrant a warning. With
+		// The sizing flags merely default and only warrant a warning. With
 		// -racks they size the fleet's per-rack template instead.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "enclosures", "boards", "clients-per-board":
-				log.Printf("warning: -%s has no effect without -shards or -racks", f.Name)
+				log.Printf("warning: -%s has no effect without -shards 1 or -racks", f.Name)
 			}
 		})
 	}
@@ -220,7 +173,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if intro != nil {
-		log.Printf("introspection: serving http://%s (/obs, /obs/windows, /obs/shards, /obs/energy, /debug/pprof) for the process lifetime", bound)
+		log.Printf("introspection: serving http://%s (/obs, /obs/windows, /obs/energy, /debug/pprof) for the process lifetime", bound)
 		if *useDES {
 			obsOn = true
 		}
@@ -271,18 +224,10 @@ func main() {
 		opts.MeasureSec = *measure
 		opts.ProbeIntervalSec = *probeInterval
 		opts.Parallelism = par
-		// Assign through concrete pointers: storing a typed-nil
-		// *ShardedTopology in the Topology interface would defeat the nil
-		// check in Simulate (see SimOptions.Topology).
+		// A nil *RackTopology (no -shards 1) selects the flat model.
+		opts.Topology = sharding.Topology()
 		if ft := fleet.Topology(); ft != nil {
 			opts.Topology = ft
-		} else if t := sharding.Topology(); t != nil {
-			opts.Topology = t
-		}
-		var diagSink *obs.Sink
-		if sharding.DiagOut() != "" && opts.Topology != nil {
-			diagSink = obs.NewSink()
-			opts.ShardDiag = diagSink
 		}
 
 		var sink *obs.Sink
@@ -329,15 +274,6 @@ func main() {
 					if b, err := energy.LiveSnapshot(live.Energy); err == nil {
 						intro.PublishEnergy(b)
 					}
-				}
-				if b, err := json.Marshal(shardsDoc{
-					Schema:       schemaShards,
-					Phase:        phase,
-					Shards:       live.Shards,
-					LookaheadSec: live.LookaheadSec,
-					Stats:        liveShardStats(live),
-				}); err == nil {
-					intro.PublishShards(b)
 				}
 			}
 			// The adaptive search runs uninstrumented (see cluster docs),
@@ -389,7 +325,7 @@ func main() {
 				if err := res.SLO.WriteFile(path, res.SLOParts...); err != nil {
 					log.Fatal(err)
 				}
-				log.Printf("slo: wrote %s (%d windows; byte-identical at any -shards/-par)", path, len(ws))
+				log.Printf("slo: wrote %s (%d windows; byte-identical at any -par)", path, len(ws))
 			}
 		}
 
@@ -407,24 +343,8 @@ func main() {
 				if err := res.Energy.WriteFile(path); err != nil {
 					log.Fatal(err)
 				}
-				log.Printf("energy: wrote %s (%d windows; byte-identical at any -shards/-par)", path, t.Windows)
+				log.Printf("energy: wrote %s (%d windows; byte-identical at any -par)", path, t.Windows)
 			}
-		}
-
-		if diagSink != nil {
-			dman := obs.NewManifest(p.Name, d.Name, *seed)
-			if rt := rackTopoOf(opts.Topology); rt != nil {
-				dman.Config["shards"] = strconv.Itoa(rt.Shards)
-			}
-			strategy, assignment := placementInfo(opts)
-			dman.Config["placement"] = strategy
-			dman.Config["placement_assignment"] = assignment
-			dman.WallSec = wall.Seconds()
-			diagSink.SetManifest(dman)
-			if err := diagSink.WriteFile(sharding.DiagOut()); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("shard-diag: wrote %s (scheduling-dependent; not byte-stable across runs)", sharding.DiagOut())
 		}
 
 		if sink != nil {
@@ -450,16 +370,12 @@ func main() {
 				}
 			}
 			if t := rackTopoOf(opts.Topology); t != nil {
-				man.Config["shards"] = strconv.Itoa(t.Shards)
 				man.Config["enclosures"] = strconv.Itoa(t.Enclosures)
 				if bl := boardList(t.Boards); bl != "" {
 					man.Config["boards"] = bl
 				} else {
 					man.Config["boards_per_enclosure"] = strconv.Itoa(t.BoardsPerEnclosure)
 				}
-				strategy, assignment := placementInfo(opts)
-				man.Config["placement"] = strategy
-				man.Config["placement_assignment"] = assignment
 			}
 			if p.Batch {
 				man.SimTimeSec = res.ExecTime

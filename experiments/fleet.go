@@ -52,9 +52,9 @@ func fleetShapes() []cluster.FleetTopology {
 }
 
 // defaultFleetRack is the per-rack template of the default sweep: a
-// small sharded rack so each hot rack's DES stays cheap.
-func defaultFleetRack() cluster.ShardedTopology {
-	return cluster.ShardedTopology{Enclosures: 2, BoardsPerEnclosure: 2, Shards: 2}
+// small rack so each hot rack's DES stays cheap.
+func defaultFleetRack() cluster.RackTopology {
+	return cluster.RackTopology{Enclosures: 2, BoardsPerEnclosure: 2}
 }
 
 // runExtFleet scales the paper's Perf/TCO comparison from one server to
@@ -134,7 +134,7 @@ func runExtFleet() (Report, error) {
 	r.addf("hybrid fleet sweep: hot racks on full sharded DES, cold racks on")
 	r.addf("the analytic M/M/m stand-in at the balancer's operating point;")
 	r.addf("Perf/TCO prices every server in every rack over 3 years (seed-11")
-	r.addf("runs; exports are byte-identical at any -shards/-par/hot-set order):")
+	r.addf("runs; exports are byte-identical at any -par/hot-set order):")
 	r.addf("")
 	r.addf("%-7s %-10s %6s %4s %-12s %11s %8s %10s %9s %9s", "design", "workload",
 		"racks", "hot", "balancer", "fleet-rps", "qos-ok", "viol-rk", "slo-wnd", "perf/M$")

@@ -5,8 +5,8 @@
 // pinned), plus the loader and runner behind the cmd/whvet
 // multichecker.
 //
-// The byte-diff CI gates (shard-diff, slo-diff, energy-diff) prove
-// determinism for the handful of configurations they sample; the
+// The invariance and golden tests prove determinism for the handful of
+// configurations they sample; the
 // analyzers under internal/analysis/* prove, at the source level, that
 // no call site can violate the invariants those gates check — see
 // DESIGN.md §11 for the invariant catalogue.

@@ -1,8 +1,8 @@
 // Package hotpath guards the allocation discipline PR 3 and PR 8 paid
 // for: functions annotated with a `//perf:hotpath` doc-comment line
-// (the DES event loop, the shard exchange/merge path, the pooled trial
-// path) are checked for the four regressions that silently reintroduce
-// per-event allocation:
+// (the DES event loop, the pooled trial path, the flash-cache and
+// Zipf samplers) are checked for the four regressions that silently
+// reintroduce per-event allocation:
 //
 //   - closures: a func literal allocates its captured environment;
 //     the pooled engines bind continuations once at setup instead.

@@ -7,9 +7,7 @@
 // Four rules, each with its own message prefix:
 //
 //   - wall clock: time.Now, time.Since and friends read host time;
-//     simulated time comes from des.Sim.Now. The one sanctioned
-//     exception is the shard kernel's ShardDiag wall-clock telemetry,
-//     which never enters compared artifacts (DESIGN.md §9).
+//     simulated time comes from des.Sim.Now.
 //   - math/rand: the global functions draw from a process-global,
 //     concurrency-order-dependent stream, and even seeded rand streams
 //     changed across Go releases (1.20 gob, rand v2). All model

@@ -22,7 +22,7 @@ var domains = map[string]bool{
 	"fleet":       true, // fleet hybrid summary streams (internal/cluster/fleet.go)
 	"memblade":    true, // memory-blade simulator
 	"qlen":        true, // per-resource queue-length series (dynamic suffix)
-	"shard":       true, // shard-kernel ShardDiag telemetry
+	"shard":       true, // rack-model ShardDiag counter (shard.fired.s0)
 	"slo":         true, // windowed SLO plane (internal/obs/window)
 	"trial":       true, // per-trial counters
 	"util":        true, // per-resource utilization series (dynamic suffix)

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"warehousesim/internal/des"
-	"warehousesim/internal/des/shard"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/energy"
 	"warehousesim/internal/obs/span"
@@ -64,22 +63,18 @@ type SimOptions struct {
 	OnProbeTick func(simNow float64)
 
 	// Topology, when non-nil, switches Simulate from the flat
-	// single-server model to the implementation's own: *ShardedTopology
-	// runs one rack of enclosures on the sharded kernel (rack.go,
-	// internal/des/shard); *FleetTopology runs a fleet of racks — hot
+	// single-server model to the implementation's own: *RackTopology
+	// runs one rack of enclosures on one event heap (rack.go);
+	// *FleetTopology runs a fleet of racks — hot
 	// ones on full DES, cold ones on the analytic M/M/m stand-in —
-	// joined by a load-balancer tier (fleet.go). Store a concrete
-	// pointer directly; a typed-nil pointer in the interface would
-	// defeat the nil check, so helpers that may return "no topology"
-	// must return an untyped nil.
+	// joined by a load-balancer tier (fleet.go). A nil *RackTopology or
+	// *FleetTopology selects the flat model, like an untyped nil.
 	Topology Topology
 
-	// ShardDiag, when non-nil and enabled, receives the sharded
-	// engine's per-shard synchronization diagnostics after a Topology
-	// run: clock-skew and mailbox-depth series plus window and message
-	// counters. These depend on goroutine scheduling, so they are kept
-	// separate from Obs — the deterministic export stays byte-identical
-	// at any shard count. Ignored without a Topology.
+	// ShardDiag, when non-nil and enabled, receives a RackTopology
+	// run's kernel diagnostics, kept out of Obs: the heap's fired-event
+	// count as the counter shard.fired.s0. Ignored by the flat model
+	// and by fleet runs.
 	ShardDiag obs.Recorder
 
 	// SLOWindowSec, when > 0, turns on the windowed-SLO metrics plane:
@@ -105,8 +100,8 @@ type SimOptions struct {
 
 	// OnLive, when non-nil, fires once per run just before the
 	// instrumented simulation starts, handing the caller the live
-	// introspection handles: the per-partition window collectors and,
-	// for Topology runs, the shard engine's live counters. The handles
+	// introspection handles: the per-partition window and energy
+	// collectors. The handles
 	// stay valid for the rest of the run; everything reachable through
 	// them is safe to read concurrently with the simulation.
 	OnLive func(LiveHandles)
@@ -114,8 +109,7 @@ type SimOptions struct {
 
 // LiveHandles is what SimOptions.OnLive receives: read-only views that
 // a live introspection server may poll while the run executes. SLO is
-// nil when SLOWindowSec is off; ShardStats is nil for flat (non-
-// Topology) runs.
+// nil when SLOWindowSec is off, Energy when Energy is.
 type LiveHandles struct {
 	// SLO holds the per-partition window collectors (one for flat runs;
 	// one per enclosure plus the rack-global part for Topology runs).
@@ -124,11 +118,6 @@ type LiveHandles struct {
 	// Energy holds the per-partition energy collectors in the same part
 	// order as SLO. Only Collector.LiveWindows is safe concurrently.
 	Energy []*energy.Collector
-	// ShardStats returns the engine's live per-shard counters.
-	ShardStats func() []shard.LiveStats
-	// Shards and LookaheadSec describe the engine behind ShardStats.
-	Shards       int
-	LookaheadSec float64
 }
 
 // DefaultSimOptions returns sensible defaults for validation runs.
@@ -175,6 +164,16 @@ func (o SimOptions) Normalize() (SimOptions, error) {
 	}
 	if o.Parallelism < 1 {
 		o.Parallelism = 1
+	}
+	switch t := o.Topology.(type) {
+	case *RackTopology:
+		if t == nil {
+			o.Topology = nil
+		}
+	case *FleetTopology:
+		if t == nil {
+			o.Topology = nil
+		}
 	}
 	if o.Topology != nil {
 		t := o.Topology.clone()

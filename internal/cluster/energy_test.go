@@ -137,52 +137,6 @@ func TestEnergyFlatParInvariance(t *testing.T) {
 	}
 }
 
-// TestEnergyRackShardInvariance is the tentpole acceptance gate: the
-// whole energy export — manifest included — must be byte-identical at
-// every shard count, with the per-enclosure parts merged in enclosure
-// order behind it.
-func TestEnergyRackShardInvariance(t *testing.T) {
-	p := testProfile()
-	run := func(shards int) (Result, []byte) {
-		cfg := Config{Server: platform.Desk(), MemSlowdown: 0.05}
-		sink := obs.NewSink()
-		opt := rackOptions(shards, sink)
-		opt.Energy = testEnergyConfig(1, power.DefaultIdleFractions())
-		res, err := cfg.Simulate(workload.FixedGenerator{P: p}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, energyExport(t, res)
-	}
-	ref, refExp := run(1)
-	if wantParts := rackTopology(1).Enclosures + 1; len(ref.EnergyParts) != wantParts {
-		t.Fatalf("got %d energy parts, want %d (enclosures + global)", len(ref.EnergyParts), wantParts)
-	}
-	if len(ref.Energy.Windows()) == 0 {
-		t.Fatal("no energy windows collected")
-	}
-	// The rack feeds per-enclosure cpu/net/memblade and global san
-	// utilization into the merged collector.
-	sawCPU, sawSAN := false, false
-	for _, w := range ref.Energy.Windows() {
-		if _, ok := w.Util["cpu"]; ok {
-			sawCPU = true
-		}
-		if _, ok := w.Util["san"]; ok {
-			sawSAN = true
-		}
-	}
-	if !sawCPU || !sawSAN {
-		t.Errorf("merged windows missing drivers: cpu %v san %v", sawCPU, sawSAN)
-	}
-	for _, shards := range []int{2, 4} {
-		_, exp := run(shards)
-		if !bytes.Equal(refExp, exp) {
-			t.Errorf("shards=%d energy export differs from shards=1", shards)
-		}
-	}
-}
-
 // TestEnergyBatchFlat: the inline-instrumented batch path seals at the
 // job's completion time and accounts every completed request.
 func TestEnergyBatchFlat(t *testing.T) {
@@ -220,7 +174,7 @@ func TestEnergyRackBatch(t *testing.T) {
 	p := batchProfile()
 	p.JobRequests = 400
 	sink := obs.NewSink()
-	opt := rackOptions(2, sink)
+	opt := rackOptions(sink)
 	opt.Energy = testEnergyConfig(1, power.DefaultIdleFractions())
 	res, err := cfg.Simulate(workload.FixedGenerator{P: p}, opt)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 // Balancer policies for the fleet's load-balancer tier. Both are
 // deterministic: routing is a pure function of the normalized topology
 // and the demand, never of goroutine scheduling, so fleet exports stay
-// byte-identical at every shard and worker count.
+// byte-identical at every worker count.
 const (
 	// BalancerWRR routes demand in capacity-weighted proportions — the
 	// classic weighted round-robin at steady state. With a homogeneous
@@ -36,7 +36,7 @@ const fleetDemandQuanta = 16
 
 // FleetTopology scales the unit of simulation from one rack to a fleet
 // of Racks identical racks behind a load-balancer tier. The HotRacks
-// racks under study run the full sharded DES (rack.go, unchanged as the
+// racks under study run the full rack DES (rack.go, unchanged as the
 // per-rack engine); the remaining cold racks are stood in by the
 // analytic M/M/m solver (analytic.go) evaluated at the operating point
 // the balancer routes to them. Cold racks never enter the event stream:
@@ -56,13 +56,10 @@ type FleetTopology struct {
 	HotSet []int
 	// Rack is the per-rack topology template; every rack in the fleet
 	// is an instance of it. Its defaults are filled by Normalize.
-	Rack ShardedTopology
+	Rack RackTopology
 	// Balancer selects the routing policy: BalancerWRR ("" or "wrr")
 	// or BalancerLeastLoaded.
 	Balancer string
-	// Shards, when > 0, overrides Rack.Shards — a convenience so CLI
-	// sharding flags apply to the template without spelling it twice.
-	Shards int
 }
 
 // Normalize implements Topology: it validates the fleet shape and fills
@@ -109,13 +106,9 @@ func (t *FleetTopology) Normalize() error {
 	default:
 		return fmt.Errorf("cluster: unknown balancer policy %q (want %q or %q)", t.Balancer, BalancerWRR, BalancerLeastLoaded)
 	}
-	if t.Shards > 0 {
-		t.Rack.Shards = t.Shards
-	}
 	if err := t.Rack.Normalize(); err != nil {
 		return fmt.Errorf("cluster: fleet rack template: %w", err)
 	}
-	t.Shards = t.Rack.Shards
 	return nil
 }
 
@@ -175,7 +168,7 @@ func fleetRackSeed(root uint64, rack int) uint64 {
 	return stats.EntitySeed(root, rack, 0)
 }
 
-// simulate implements Topology: hot racks on the sharded DES, cold
+// simulate implements Topology: hot racks on the rack DES, cold
 // racks on the analytic stand-in, one merged Result.
 func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
 	if p.Batch {
@@ -190,11 +183,6 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 			return Result{}, fmt.Errorf("cluster: fleet runs record into per-rack sinks folded after the run, so Obs must be a *obs.Sink, got %T", opt.Obs)
 		}
 	}
-	if opt.ShardDiag != nil {
-		if _, ok := opt.ShardDiag.(*obs.Sink); !ok {
-			return Result{}, fmt.Errorf("cluster: fleet runs fold per-rack shard diagnostics, so ShardDiag must be a *obs.Sink, got %T", opt.ShardDiag)
-		}
-	}
 	if len(t.HotSet) > 0 && !workload.IsStateless(gen) {
 		return Result{}, fmt.Errorf("cluster: hot racks sample the generator concurrently and need workload.IsStateless; %T is stateful", gen)
 	}
@@ -206,7 +194,6 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 	// depends on scheduling.
 	hot := make([]Result, len(t.HotSet))
 	hotSinks := make([]*obs.Sink, len(t.HotSet))
-	hotDiags := make([]*obs.Sink, len(t.HotSet))
 	hotErrs := make([]error, len(t.HotSet))
 	par := opt.Parallelism
 	if par > len(t.HotSet) {
@@ -222,7 +209,7 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				hot[i], hotErrs[i] = t.runHotRack(c, gen, p, opt, i, hotSinks, hotDiags)
+				hot[i], hotErrs[i] = t.runHotRack(c, gen, p, opt, i, hotSinks)
 			}
 		}()
 	}
@@ -238,9 +225,6 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 	}
 	if recording {
 		opt.Obs.(*obs.Sink).MergeFrom(hotSinks...)
-	}
-	if opt.ShardDiag != nil {
-		opt.ShardDiag.(*obs.Sink).MergeFrom(hotDiags...)
 	}
 
 	// The balancer's demand model: every rack in the fleet faces the
@@ -312,7 +296,7 @@ func (t *FleetTopology) simulate(c Config, gen workload.Generator, p workload.Pr
 
 // runHotRack runs one hot rack's full DES with a private sink and a
 // rack-scoped seed; i indexes the (sorted) hot set.
-func (t *FleetTopology) runHotRack(c Config, gen workload.Generator, p workload.Profile, opt SimOptions, i int, sinks, diags []*obs.Sink) (Result, error) {
+func (t *FleetTopology) runHotRack(c Config, gen workload.Generator, p workload.Profile, opt SimOptions, i int, sinks []*obs.Sink) (Result, error) {
 	ro := opt
 	ro.Seed = fleetRackSeed(opt.Seed, t.HotSet[i])
 	ro.Topology = nil
@@ -326,11 +310,7 @@ func (t *FleetTopology) runHotRack(c Config, gen workload.Generator, p workload.
 		sinks[i] = obs.NewSink()
 		ro.Obs = sinks[i]
 	}
-	ro.ShardDiag = nil
-	if opt.ShardDiag != nil {
-		diags[i] = obs.NewSink()
-		ro.ShardDiag = diags[i]
-	}
+	ro.ShardDiag = nil // a per-rack diagnostic; fleet runs report none
 	rack := t.Rack
 	rack.Boards = append([]int(nil), t.Rack.Boards...)
 	return rack.simulate(c, gen, p, ro)

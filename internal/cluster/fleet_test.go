@@ -15,9 +15,9 @@ import (
 )
 
 // fleetTestRack is the per-rack template fleet tests share: 4
-// enclosures so the shard ladder 1/2/4 is meaningful, 2 boards each.
-func fleetTestRack() ShardedTopology {
-	return ShardedTopology{Enclosures: 4, BoardsPerEnclosure: 2, Shards: 2}
+// enclosures of 2 boards each.
+func fleetTestRack() RackTopology {
+	return RackTopology{Enclosures: 4, BoardsPerEnclosure: 2}
 }
 
 // obsExport renders a sink the way whsim's -obs-out does (test sinks
@@ -47,7 +47,7 @@ func TestFleetNormalizeValidation(t *testing.T) {
 		{"hot-set disagreement", FleetTopology{Racks: 4, HotRacks: 1, HotSet: []int{0, 1}, Rack: rack}, "disagrees with hot-set"},
 		{"unknown balancer", FleetTopology{Racks: 4, Balancer: "random", Rack: rack}, "unknown balancer"},
 		{"empty rack template", FleetTopology{Racks: 4}, "fleet rack template"},
-		{"bad rack template", FleetTopology{Racks: 4, Rack: ShardedTopology{Enclosures: 1, BoardsPerEnclosure: -1}}, "fleet rack template"},
+		{"bad rack template", FleetTopology{Racks: 4, Rack: RackTopology{Enclosures: 1, BoardsPerEnclosure: -1}}, "fleet rack template"},
 	}
 	for _, c := range cases {
 		topo := c.topo
@@ -63,7 +63,7 @@ func TestFleetNormalizeValidation(t *testing.T) {
 }
 
 func TestFleetNormalizeDefaults(t *testing.T) {
-	ft := FleetTopology{Racks: 8, HotSet: []int{5, 2}, Rack: fleetTestRack(), Shards: 4}
+	ft := FleetTopology{Racks: 8, HotSet: []int{5, 2}, Rack: fleetTestRack()}
 	if err := ft.Normalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +75,6 @@ func TestFleetNormalizeDefaults(t *testing.T) {
 	}
 	if ft.Balancer != BalancerWRR {
 		t.Errorf("empty balancer not defaulted: %q", ft.Balancer)
-	}
-	if ft.Rack.Shards != 4 || ft.Shards != 4 {
-		t.Errorf("Shards override not applied to template: topo %d rack %d", ft.Shards, ft.Rack.Shards)
 	}
 
 	// SimOptions.Normalize works on a clone: the caller's value must
@@ -370,19 +367,19 @@ func TestFleetUnservedViolatesQoS(t *testing.T) {
 }
 
 // TestFleetPartitionInvariance: the fleet export must be byte-identical
-// at every shard count, every worker count, and every hot-set ordering
-// — the rack discipline (DESIGN.md §6) lifted to fleet scope.
+// at every worker count and every hot-set ordering — the rack
+// discipline (DESIGN.md §6) lifted to fleet scope.
 func TestFleetPartitionInvariance(t *testing.T) {
 	cfg := Config{Server: platform.Desk()}
 	p := testProfile()
 	gen := workload.FixedGenerator{P: p}
 	const racks = 100
 
-	run := func(hotSet []int, shards, par int) ([]byte, []byte, []byte, Result) {
+	run := func(hotSet []int, par int) ([]byte, []byte, []byte, Result) {
 		t.Helper()
 		topo := FleetTopology{
 			Racks: racks, HotSet: append([]int(nil), hotSet...),
-			Rack: fleetTestRack(), Balancer: BalancerLeastLoaded, Shards: shards,
+			Rack: fleetTestRack(), Balancer: BalancerLeastLoaded,
 		}
 		sink := obs.NewSink()
 		res, err := cfg.Simulate(gen, SimOptions{
@@ -392,25 +389,22 @@ func TestFleetPartitionInvariance(t *testing.T) {
 			Parallelism: par, Topology: &topo,
 		})
 		if err != nil {
-			t.Fatalf("hotSet=%v shards=%d par=%d: %v", hotSet, shards, par, err)
+			t.Fatalf("hotSet=%v par=%d: %v", hotSet, par, err)
 		}
 		return obsExport(t, sink), sloExport(t, res), energyExport(t, res), res
 	}
 
-	baseObs, baseSLO, baseEn, baseRes := run([]int{3, 97}, 2, 1)
+	baseObs, baseSLO, baseEn, baseRes := run([]int{3, 97}, 1)
 	for _, v := range []struct {
 		name   string
 		hotSet []int
-		shards int
 		par    int
 	}{
-		{"shards=1", []int{3, 97}, 1, 1},
-		{"shards=4", []int{3, 97}, 4, 1},
-		{"par=4", []int{3, 97}, 2, 4},
-		{"hot-set reversed", []int{97, 3}, 2, 1},
-		{"shards=4 par=4 reversed", []int{97, 3}, 4, 4},
+		{"par=4", []int{3, 97}, 4},
+		{"hot-set reversed", []int{97, 3}, 1},
+		{"par=4 reversed", []int{97, 3}, 4},
 	} {
-		gotObs, gotSLO, gotEn, res := run(v.hotSet, v.shards, v.par)
+		gotObs, gotSLO, gotEn, res := run(v.hotSet, v.par)
 		if !bytes.Equal(gotObs, baseObs) {
 			t.Errorf("%s: obs export differs from baseline", v.name)
 		}

@@ -1,38 +1,27 @@
 package cluster
 
-// The sharded rack model: SimOptions.Topology switches Simulate from
-// the flat single-server model to a rack of identical servers grouped
-// into enclosures, executed on the conservative parallel kernel of
-// internal/des/shard. Enclosures are the partitioning unit — every
-// entity of an enclosure (its boards' cpu/net stations, its memory
-// blade) lives on one shard, so board-local and blade traffic can
-// touch shared state directly while still riding the mailbox Post
-// discipline. Everything that crosses enclosure boundaries — SAN disk
-// I/O, mapreduce shuffle chunks, job-completion reports — is genuinely
-// cross-shard and flows through the bounded channel mailboxes with a
-// delay of exactly its traffic class's transport latency: laIntra for
-// backplane hops (fabric.IntraEnclosureLatencySec), laSAN for the
-// storage path (fabric.SANPathLatencySec), laCross for board-to-board
-// fabric traffic (fabric.CrossEnclosureLatencySec). The same three
-// values, arranged per shard pair by lookaheadMatrix, are the engine's
-// lookahead floors — the physics and the protocol agree by
-// construction, and pairs with no modeled traffic are +Inf so they
-// never throttle a synchronization window.
+// The rack model: SimOptions.Topology switches Simulate from the flat
+// single-server model to a rack of identical servers grouped into
+// enclosures, run on one des.Sim event heap. Every board has its own
+// cpu and NIC stations, every enclosure its memory blade, and the rack
+// shares one consolidated SAN array. Traffic between those stations
+// is delayed by its fabric's transport latency: laIntra for backplane
+// hops (fabric.IntraEnclosureLatencySec), laSAN for the storage path
+// (fabric.SANPathLatencySec), laCross for board-to-board fabric
+// traffic (fabric.CrossEnclosureLatencySec).
 //
-// Partition-independence discipline (the shards-1-vs-N byte gate):
+// Recording discipline:
 //
 //   - All randomness is derived per client/board from (Seed, global
-//     entity id, index) — never from a shared stream whose draw order
-//     could depend on the partitioning.
-//   - Recording is per-enclosure into private obs.Sinks at EVERY shard
-//     count, folded in enclosure order afterwards (obs.Sink.MergeFrom),
-//     so float accumulation order and event interleaving never depend
-//     on how enclosures were packed onto shards.
-//   - Probes omit the kernel-wide gauges (heap depth, event rate are
-//     per-shard quantities) and resource series carry enclosure/board
-//     names, so every series is written by exactly one part.
-//   - Engine diagnostics (clock skew, mailbox depth) are scheduling-
-//     dependent and go to SimOptions.ShardDiag, never into Obs.
+//     entity id, index), never from one shared stream, so a client's
+//     draws do not depend on setup order or on the rest of the rack.
+//   - Recording is per-enclosure into private obs.Sinks, folded in
+//     enclosure order afterwards (obs.Sink.MergeFrom), with a
+//     rack-global part for the SAN and run counters; SLO and energy
+//     collectors follow the same parts and merge order.
+//   - Probes omit the kernel-wide gauges (heap depth, event rate) and
+//     resource series carry enclosure/board names, so every series is
+//     written by exactly one part.
 //
 // Interactive workloads run a fixed closed-loop population
 // (ClientsPerBoard per board) instead of the flat model's adaptive
@@ -43,16 +32,14 @@ package cluster
 // a deterministically chosen peer board, which receives it on its own
 // NIC and reports to a rack-wide aggregator; the job is done when the
 // aggregator has seen every chunk. Batch jobs end by running the
-// cluster dry — the run-dry exit is deterministic, unlike Stop — and
-// a recorded batch run replays with the job's completion time as the
-// horizon so probe timelines are complete.
+// cluster dry, and a recorded batch run replays with the job's
+// completion time as the horizon so probe timelines are complete.
 
 import (
 	"fmt"
 	"math"
 
 	"warehousesim/internal/des"
-	"warehousesim/internal/des/shard"
 	"warehousesim/internal/fabric"
 	"warehousesim/internal/obs"
 	"warehousesim/internal/obs/energy"
@@ -62,21 +49,19 @@ import (
 	"warehousesim/internal/workload"
 )
 
-// ShardedTopology sizes the rack model: Enclosures enclosures of
+// RackTopology sizes the rack model: Enclosures enclosures of
 // BoardsPerEnclosure boards (each one configured Server), one memory
 // blade per enclosure, and one consolidated SAN array shared by the
-// whole rack, partitioned across Shards event heaps.
-type ShardedTopology struct {
-	// Enclosures is the number of enclosures (>= 1); the enclosure is
-	// the partitioning unit.
+// whole rack.
+type RackTopology struct {
+	// Enclosures is the number of enclosures (>= 1).
 	Enclosures int
 	// BoardsPerEnclosure is the number of server boards per enclosure
 	// (>= 1), ignored when Boards is set.
 	BoardsPerEnclosure int
 	// Boards, when non-empty, gives a heterogeneous rack: Boards[e]
 	// server boards in enclosure e (each >= 1). Its length must equal
-	// Enclosures. Skewed racks are where placement matters — see
-	// Placement.
+	// Enclosures.
 	Boards []int
 	// ClientsPerBoard is the closed-loop client population per board
 	// for interactive workloads; 0 means 4. The rack model measures
@@ -85,31 +70,12 @@ type ShardedTopology struct {
 	// SANDisks is the service capacity of the consolidated disk array;
 	// 0 means one disk per enclosure.
 	SANDisks int
-	// Shards is the number of event heaps, each on its own goroutine;
-	// values outside [1, Enclosures] are clamped. Results are
-	// byte-identical at every value.
-	Shards int
-	// Placement selects how enclosures are packed onto shards:
-	// PlacementBlock ("" or "block") is the contiguous split,
-	// PlacementBalanced ("balanced") the deterministic LPT bin-packer
-	// weighted by each enclosure's event-generation load (boards ×
-	// clients plus its blade, with the SAN and aggregator pre-loaded
-	// onto shard 0). Results are byte-identical under either; only
-	// wall-clock balance differs.
-	Placement string
 }
-
-// Placement strategy names accepted by ShardedTopology.Placement and
-// the -placement CLI flag.
-const (
-	PlacementBlock    = "block"
-	PlacementBalanced = "balanced"
-)
 
 // Normalize implements Topology: it validates the topology and fills
 // defaulted fields in place. SimOptions.Normalize calls it on a clone,
 // so callers' values are never written through.
-func (t *ShardedTopology) Normalize() error {
+func (t *RackTopology) Normalize() error {
 	n, err := t.normalize()
 	if err != nil {
 		return err
@@ -120,19 +86,19 @@ func (t *ShardedTopology) Normalize() error {
 
 // clone implements Topology with a deep copy (Boards is the only
 // reference field).
-func (t *ShardedTopology) clone() Topology {
+func (t *RackTopology) clone() Topology {
 	c := *t
 	c.Boards = append([]int(nil), t.Boards...)
 	return &c
 }
 
 // simulate implements Topology: it dispatches the rack model. The
-// generator must be stateless (clients on different shards sample it
+// generator must be stateless (a fleet's hot racks sample it
 // concurrently), and recording requires a *obs.Sink because the rack
 // records into per-enclosure sinks folded after the run.
-func (t *ShardedTopology) simulate(c Config, gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
+func (t *RackTopology) simulate(c Config, gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
 	if !workload.IsStateless(gen) {
-		return Result{}, fmt.Errorf("cluster: the sharded rack model samples the generator concurrently across shards and needs workload.IsStateless; %T is stateful", gen)
+		return Result{}, fmt.Errorf("cluster: the rack model needs workload.IsStateless, because a fleet's hot racks sample the generator concurrently; %T is stateful", gen)
 	}
 	if obs.On(opt.Obs) {
 		if _, ok := opt.Obs.(*obs.Sink); !ok {
@@ -147,7 +113,7 @@ func (t *ShardedTopology) simulate(c Config, gen workload.Generator, p workload.
 
 // normalize fills defaults and validates; Normalize wraps it (the value
 // form keeps the original copy-in/copy-out shape).
-func (t ShardedTopology) normalize() (ShardedTopology, error) {
+func (t RackTopology) normalize() (RackTopology, error) {
 	if t.Enclosures < 1 {
 		return t, fmt.Errorf("cluster: topology needs at least one enclosure, got %d", t.Enclosures)
 	}
@@ -169,31 +135,18 @@ func (t ShardedTopology) normalize() (ShardedTopology, error) {
 	if t.SANDisks < 0 {
 		return t, fmt.Errorf("cluster: negative SAN capacity %d", t.SANDisks)
 	}
-	switch t.Placement {
-	case "":
-		t.Placement = PlacementBlock
-	case PlacementBlock, PlacementBalanced:
-	default:
-		return t, fmt.Errorf("cluster: unknown placement %q (want %q or %q)", t.Placement, PlacementBlock, PlacementBalanced)
-	}
 	if t.ClientsPerBoard == 0 {
 		t.ClientsPerBoard = 4
 	}
 	if t.SANDisks == 0 {
 		t.SANDisks = t.Enclosures
 	}
-	if t.Shards < 1 {
-		t.Shards = 1
-	}
-	if t.Shards > t.Enclosures {
-		t.Shards = t.Enclosures
-	}
 	return t, nil
 }
 
 // boardsIn returns enclosure e's board count, honoring the
 // heterogeneous override.
-func (t ShardedTopology) boardsIn(e int) int {
+func (t RackTopology) boardsIn(e int) int {
 	if len(t.Boards) > 0 {
 		return t.Boards[e]
 	}
@@ -201,7 +154,7 @@ func (t ShardedTopology) boardsIn(e int) int {
 }
 
 // totalBoards is the rack's board count across all enclosures.
-func (t ShardedTopology) totalBoards() int {
+func (t RackTopology) totalBoards() int {
 	if len(t.Boards) == 0 {
 		return t.Enclosures * t.BoardsPerEnclosure
 	}
@@ -212,48 +165,27 @@ func (t ShardedTopology) totalBoards() int {
 	return n
 }
 
-// PlacementOf returns the enclosure-to-shard assignment the rack model
-// uses for this topology: a pure function of the (normalized) topology
-// alone, so a run manifest that records the topology and the strategy
-// name fully determines the packing. Enclosure weight is its
-// event-generation load — boards × clients per board, plus one for the
-// blade — and shard 0 is pre-loaded with the SAN array (SANDisks) and
-// the batch aggregator, which are pinned there.
-func (t ShardedTopology) PlacementOf() []int {
-	if t.Placement != PlacementBalanced {
-		return shard.PlaceBlock(t.Enclosures, t.Shards)
-	}
-	weights := make([]float64, t.Enclosures)
-	for e := range weights {
-		weights[e] = float64(t.boardsIn(e)*t.ClientsPerBoard + 1)
-	}
-	bias := make([]float64, t.Shards)
-	bias[0] = float64(t.SANDisks + 1)
-	return shard.PlaceBalanced(weights, t.Shards, bias)
-}
-
 // rackSeed derives one entity-scoped RNG seed from the run seed. Pure
 // function of (root, ent, idx), so per-client streams are independent
-// of the partitioning and of setup iteration order. The mixing lives
-// in stats.EntitySeed (bit-identical to the splitmix64 finalization
-// this function used to inline), so the constants stay in one place.
+// of setup iteration order. The mixing lives in stats.EntitySeed
+// (bit-identical to the splitmix64 finalization this function used to
+// inline), so the constants stay in one place.
 func rackSeed(root uint64, ent, idx int) uint64 {
 	return stats.EntitySeed(root, ent, idx)
 }
 
-// rackSim owns one rack run: the engine, the per-enclosure model state,
-// and the rack-global entities (SAN, aggregator) on shard 0. The three
-// latency classes are the rack's transport physics and, pair-wise, the
-// engine's lookahead floors — one derivation for both (see
-// lookaheadMatrix): laIntra for backplane hops that never leave an
-// enclosure (blade swaps), laSAN for the storage path, laCross for
-// board-to-board fabric traffic (shuffle chunks, aggregator reports).
+// rackSim owns one rack run: the event heap, the per-enclosure model
+// state, and the rack-global SAN and aggregator. The three latency
+// classes are the rack's transport physics: laIntra for backplane hops
+// that never leave an enclosure (blade swaps), laSAN for the storage
+// path, laCross for board-to-board fabric traffic (shuffle chunks,
+// aggregator reports).
 type rackSim struct {
 	cfg       Config
-	topo      ShardedTopology
+	topo      RackTopology
 	p         workload.Profile
 	opt       SimOptions
-	eng       *shard.Engine
+	sim       *des.Sim
 	laIntra   des.Time
 	laSAN     des.Time
 	laCross   des.Time
@@ -264,10 +196,7 @@ type rackSim struct {
 	encs   []*rackEnclosure
 	boards []*rackBoard // global board order: enclosure-major
 
-	sh0          *shard.Shard
 	san          *des.Resource
-	sanEnt       shard.EntityID
-	aggEnt       shard.EntityID
 	global       *obs.Sink    // rack-global recording part (SAN probes, run counters)
 	globalRec    obs.Recorder // global, tee'd through globalSLO/globalEnergy when windowing
 	globalSLO    *window.Collector
@@ -279,16 +208,12 @@ type rackSim struct {
 	aggDoneFn des.Action
 }
 
-// rackEnclosure is one enclosure: a shard-resident group of boards plus
-// the enclosure's memory blade and its private recording part. All of
-// its state is touched only by events on its shard.
+// rackEnclosure is one enclosure: a group of boards plus the
+// enclosure's memory blade and its private recording part.
 type rackEnclosure struct {
-	r        *rackSim
-	idx      int
-	sh       *shard.Shard
-	bladeEnt shard.EntityID
-	blade    *des.Resource // nil when the config has no remote memory
-	boards   []*rackBoard
+	r      *rackSim
+	blade  *des.Resource // nil when the config has no remote memory
+	boards []*rackBoard
 
 	think     stats.Exponential
 	hist      *stats.Histogram
@@ -312,7 +237,6 @@ type rackBoard struct {
 	r      *rackSim
 	enc    *rackEnclosure
 	global int
-	ent    shard.EntityID
 	cpu    *des.Resource
 	net    *des.Resource
 
@@ -323,10 +247,7 @@ type rackBoard struct {
 // rackFlow walks one request through the rack pipeline with bound-once
 // continuations, mirroring the flat model's reqFlow: local cpu, then a
 // memory-blade swap round trip, then a SAN round trip, then the NIC.
-// The blade is enclosure-resident (same shard as its boards on every
-// legal partitioning); the SAN lives on shard 0 — both hops use the
-// same Post discipline with delay la, so the trajectory is a pure
-// function of the model, not of the partitioning.
+// Each fabric hop is an event one transport latency later.
 type rackFlow struct {
 	b     *rackBoard
 	d     Demands
@@ -356,15 +277,15 @@ func (f *rackFlow) init(b *rackBoard, finish func()) {
 
 func (f *rackFlow) serve(d Demands) {
 	f.d = d
-	f.start = f.b.enc.sh.Now()
+	f.start = f.b.r.sim.Now()
 	f.b.cpu.Submit(des.Time(d.CPUSec*(1-f.b.r.memFrac)), f.afterCPUFn)
 }
 
 func (f *rackFlow) afterCPU() {
 	r := f.b.r
-	f.tCPU = f.b.enc.sh.Now()
+	f.tCPU = r.sim.Now()
 	if r.memFrac > 0 {
-		f.b.enc.sh.Post(f.b.ent, f.b.enc.bladeEnt, r.laIntra, f.bladeArriveFn)
+		r.sim.Schedule(r.laIntra, f.bladeArriveFn)
 		return
 	}
 	f.tBlade = f.tCPU
@@ -379,18 +300,18 @@ func (f *rackFlow) bladeArrive() {
 }
 
 func (f *rackFlow) bladeDone() {
-	f.b.enc.sh.Post(f.b.enc.bladeEnt, f.b.ent, f.b.r.laIntra, f.bladeBackFn)
+	f.b.r.sim.Schedule(f.b.r.laIntra, f.bladeBackFn)
 }
 
 func (f *rackFlow) bladeBack() {
-	f.tBlade = f.b.enc.sh.Now()
+	f.tBlade = f.b.r.sim.Now()
 	f.goSAN()
 }
 
 func (f *rackFlow) goSAN() {
 	r := f.b.r
 	if f.d.DiskSec > 0 {
-		f.b.enc.sh.Post(f.b.ent, r.sanEnt, r.laSAN, f.sanArriveFn)
+		r.sim.Schedule(r.laSAN, f.sanArriveFn)
 		return
 	}
 	f.tSAN = f.tBlade
@@ -404,11 +325,11 @@ func (f *rackFlow) sanArrive() {
 
 func (f *rackFlow) sanDone() {
 	r := f.b.r
-	r.sh0.Post(r.sanEnt, f.b.ent, r.laSAN, f.sanBackFn)
+	r.sim.Schedule(r.laSAN, f.sanBackFn)
 }
 
 func (f *rackFlow) sanBack() {
-	f.tSAN = f.b.enc.sh.Now()
+	f.tSAN = f.b.r.sim.Now()
 	f.goNet()
 }
 
@@ -421,8 +342,7 @@ func (f *rackFlow) netDone() { f.finish() }
 // emitSpans records one completed request's span tree into the
 // enclosure's part. Unlike the flat model, spans are emitted at
 // completion (requests still in flight at the horizon are dropped, not
-// truncated): the pipeline crosses shards, and only at completion is
-// the whole timeline known to the board's shard.
+// truncated), when the flow has stamped every stage boundary.
 func (e *rackEnclosure) emitSpans(f *rackFlow, end des.Time) {
 	tr := e.tracer
 	root := tr.Emit(0, f.req, span.KindRequest, "request", float64(f.start), float64(end))
@@ -454,7 +374,7 @@ type rackClient struct {
 func (cl *rackClient) next() {
 	e := cl.enc
 	if e.think.Mean > 0 {
-		e.sh.Sim.Schedule(des.Time(e.think.Sample(&cl.rng)), cl.issueFn)
+		e.r.sim.Schedule(des.Time(e.think.Sample(&cl.rng)), cl.issueFn)
 		return
 	}
 	cl.issue()
@@ -472,7 +392,7 @@ func (cl *rackClient) issue() {
 
 func (cl *rackClient) finished() {
 	e := cl.enc
-	end := e.sh.Now()
+	end := e.r.sim.Now()
 	latency := float64(end - cl.flow.start)
 	if e.measuring {
 		e.hist.Add(latency)
@@ -522,7 +442,7 @@ func (s *rackSlot) launch() {
 func (s *rackSlot) finished() {
 	b := s.b
 	e := b.enc
-	end := e.sh.Now()
+	end := e.r.sim.Now()
 	if e.recording {
 		latency := float64(end - s.flow.start)
 		e.rec.Count("requests", 1)
@@ -542,7 +462,7 @@ func (s *rackSlot) finished() {
 	ch := &rackChunk{r: b.r, dst: peer, netSec: s.flow.d.NetSec}
 	ch.recvFn = ch.recv
 	ch.sentFn = ch.sent
-	e.sh.Post(b.ent, peer.ent, b.r.laCross, ch.recvFn)
+	b.r.sim.Schedule(b.r.laCross, ch.recvFn)
 	s.launch()
 }
 
@@ -573,110 +493,47 @@ func (c *rackChunk) recv() {
 }
 
 func (c *rackChunk) sent() {
-	c.dst.enc.sh.Post(c.dst.ent, c.r.aggEnt, c.r.laCross, c.r.aggDoneFn)
+	c.r.sim.Schedule(c.r.laCross, c.r.aggDoneFn)
 }
 
-// aggChunkDone runs on shard 0 for every delivered chunk; the last one
-// stamps the job's completion time.
+// aggChunkDone runs for every delivered chunk; the last one stamps the
+// job's completion time.
 func (r *rackSim) aggChunkDone() {
 	r.aggDone++
 	if r.aggDone == r.aggTotal {
-		r.aggFinish = r.sh0.Now()
+		r.aggFinish = r.sim.Now()
 	}
 }
 
-// lookaheadMatrix derives the per-shard-pair lookahead floors from the
-// rack's traffic classes. The floor of a pair is the cheapest transport
-// delay of any message the model can post between entities on those
-// shards — so the matrix is a statement about which traffic exists, not
-// about where enclosures landed, and the same matrix is valid under
-// every placement:
-//
-//   - Diagonal: laIntra. Blade swaps are the cheapest same-shard posts
-//     (enclosures are never split, so blade traffic is same-shard under
-//     every placement).
-//   - Batch runs shuffle chunks between arbitrary board pairs and ship
-//     aggregator reports to shard 0, so every off-diagonal pair floors
-//     at laCross (the SAN path also exists but is strictly slower).
-//   - Interactive runs have exactly one cross-enclosure flow: the SAN
-//     round trip, pinned to shard 0. Pairs touching shard 0 floor at
-//     laSAN — wider than the raw fabric bound, which is the point —
-//     and every other pair carries no traffic at all (+Inf), so two
-//     board-only shards never throttle each other directly; the engine
-//     closes the matrix, bounding their indirect coupling through the
-//     SAN at 2·laSAN.
-func lookaheadMatrix(shards int, batch bool, laIntra, laSAN, laCross des.Time) [][]des.Time {
-	inf := des.Time(math.Inf(1))
-	m := make([][]des.Time, shards)
-	for s := range m {
-		m[s] = make([]des.Time, shards)
-		for d := range m[s] {
-			switch {
-			case s == d:
-				m[s][d] = laIntra
-			case batch:
-				m[s][d] = laCross
-			case s == 0 || d == 0:
-				m[s][d] = laSAN
-			default:
-				m[s][d] = inf
-			}
-		}
-	}
-	return m
-}
-
-// buildRack wires the engine, the entity namespace, and the
-// per-enclosure model state. Entity ids are dense and global:
-// boards 0..N-1 (enclosure-major, heterogeneous racks via prefix
-// sums), blades N..N+E-1, then the SAN and the aggregator. Enclosure e
-// lands on the shard the topology's placement assigns it; the SAN and
-// aggregator live on shard 0.
-func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p workload.Profile, opt SimOptions, recording bool) (*rackSim, error) {
+// buildRack wires the event heap and the per-enclosure model state.
+// Boards are numbered globally, enclosure-major (heterogeneous racks
+// via prefix sums); that number seeds each board's streams.
+func buildRack(c Config, topo *RackTopology, gen workload.Generator, p workload.Profile, opt SimOptions, recording bool) (*rackSim, error) {
 	t := *topo
-	nBoards := t.totalBoards()
 	nic := c.Server.NIC.BytesPerSec()
-	laIntra := des.Time(fabric.IntraEnclosureLatencySec(nic))
-	laSAN := des.Time(fabric.SANPathLatencySec(nic))
-	laCross := des.Time(fabric.CrossEnclosureLatencySec(nic))
-	eng, err := shard.NewEngine(shard.Config{
-		Shards:          t.Shards,
-		Entities:        nBoards + t.Enclosures + 2,
-		LookaheadMatrix: lookaheadMatrix(t.Shards, p.Batch, laIntra, laSAN, laCross),
-	})
-	if err != nil {
-		return nil, err
-	}
 	r := &rackSim{
 		cfg:       c,
 		topo:      t,
 		p:         p,
 		opt:       opt,
-		eng:       eng,
-		laIntra:   laIntra,
-		laSAN:     laSAN,
-		laCross:   laCross,
+		sim:       des.NewSim(),
+		laIntra:   des.Time(fabric.IntraEnclosureLatencySec(nic)),
+		laSAN:     des.Time(fabric.SANPathLatencySec(nic)),
+		laCross:   des.Time(fabric.CrossEnclosureLatencySec(nic)),
 		memFrac:   c.memSwapFraction(),
 		dm:        c.demandModelFor(p),
 		recording: recording,
-		sanEnt:    shard.EntityID(nBoards + t.Enclosures),
-		aggEnt:    shard.EntityID(nBoards + t.Enclosures + 1),
 	}
 	r.aggDoneFn = r.aggChunkDone
-	placement := t.PlacementOf()
+	var err error
 	boardBase := 0
 	for e := 0; e < t.Enclosures; e++ {
-		sid := placement[e]
 		enc := &rackEnclosure{
-			r:        r,
-			idx:      e,
-			sh:       eng.Shard(sid),
-			bladeEnt: shard.EntityID(nBoards + e),
-			think:    stats.Exponential{Mean: p.ThinkTimeSec},
-			hist:     stats.NewLatencyHistogram(),
-			gen:      gen,
+			r:     r,
+			think: stats.Exponential{Mean: p.ThinkTimeSec},
+			hist:  stats.NewLatencyHistogram(),
+			gen:   gen,
 		}
-		eng.Assign(enc.bladeEnt, sid)
 		if recording {
 			enc.recording = true
 			enc.sink = obs.NewSink()
@@ -684,10 +541,9 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 			enc.gen = workload.Instrument(gen, enc.sink)
 			if opt.SLOWindowSec > 0 {
 				// One window collector per enclosure, fed through a tee
-				// over the enclosure's private part: windows are assigned
-				// by observation time, so the per-enclosure collectors are
-				// the same at every shard count and merge in enclosure
-				// order exactly like the sinks do.
+				// over the enclosure's private part; windows are assigned
+				// by observation time and the collectors merge in
+				// enclosure order exactly like the sinks do.
 				enc.slo, err = window.New(window.Config{
 					WidthSec:      opt.SLOWindowSec,
 					QoSLatencySec: p.QoSLatencySec,
@@ -701,8 +557,7 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 			if opt.Energy != nil {
 				// Same discipline as the window collectors: one energy
 				// collector per enclosure, windows assigned by observation
-				// time, merged in enclosure order after the run — identical
-				// at every shard count.
+				// time, merged in enclosure order after the run.
 				enc.energy, err = energy.New(*opt.Energy)
 				if err != nil {
 					return nil, err
@@ -716,24 +571,19 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 			}
 		}
 		if r.memFrac > 0 {
-			enc.blade = des.NewResource(enc.sh.Sim, fmt.Sprintf("memblade.e%d", e), 1)
+			enc.blade = des.NewResource(r.sim, fmt.Sprintf("memblade.e%d", e), 1)
 		}
 		for b := 0; b < t.boardsIn(e); b++ {
-			g := boardBase + b
-			bd := &rackBoard{r: r, enc: enc, global: g, ent: shard.EntityID(g)}
-			eng.Assign(bd.ent, sid)
-			bd.cpu = des.NewResource(enc.sh.Sim, fmt.Sprintf("cpu.e%d.b%d", e, b), c.Server.CPU.Cores())
-			bd.net = des.NewResource(enc.sh.Sim, fmt.Sprintf("net.e%d.b%d", e, b), 1)
+			bd := &rackBoard{r: r, enc: enc, global: boardBase + b}
+			bd.cpu = des.NewResource(r.sim, fmt.Sprintf("cpu.e%d.b%d", e, b), c.Server.CPU.Cores())
+			bd.net = des.NewResource(r.sim, fmt.Sprintf("net.e%d.b%d", e, b), 1)
 			enc.boards = append(enc.boards, bd)
 			r.boards = append(r.boards, bd)
 		}
 		boardBase += t.boardsIn(e)
 		r.encs = append(r.encs, enc)
 	}
-	r.sh0 = eng.Shard(0)
-	eng.Assign(r.sanEnt, 0)
-	eng.Assign(r.aggEnt, 0)
-	r.san = des.NewResource(r.sh0.Sim, "san", t.SANDisks)
+	r.san = des.NewResource(r.sim, "san", t.SANDisks)
 	if recording {
 		r.global = obs.NewSink()
 		r.globalRec = r.global
@@ -760,15 +610,14 @@ func buildRack(c Config, topo *ShardedTopology, gen workload.Generator, p worklo
 }
 
 // startProbes attaches the per-enclosure and rack-global timeline
-// probes of a recorded run. Kernel gauges are omitted — heap depth and
-// event rate are per-shard quantities — and every resource series name
-// is enclosure/board-scoped, so each series belongs to exactly one
-// part. The live-introspection hook rides the rack-global probes
-// (shard 0).
+// probes of a recorded run. Kernel gauges are omitted, and every
+// resource series name is enclosure/board-scoped, so each series
+// belongs to exactly one part. The live-introspection hook rides the
+// rack-global probes.
 func (r *rackSim) startProbes() {
 	iv := des.Time(r.opt.ProbeIntervalSec)
 	for _, enc := range r.encs {
-		pr := des.NewProbes(enc.sh.Sim, enc.rec, iv)
+		pr := des.NewProbes(r.sim, enc.rec, iv)
 		pr.OmitKernel = true
 		for _, bd := range enc.boards {
 			pr.Watch(bd.cpu, bd.net)
@@ -778,7 +627,7 @@ func (r *rackSim) startProbes() {
 		}
 		pr.Start()
 	}
-	gp := des.NewProbes(r.sh0.Sim, r.globalRec, iv)
+	gp := des.NewProbes(r.sim, r.globalRec, iv)
 	gp.OmitKernel = true
 	gp.Watch(r.san)
 	gp.OnTick = r.opt.OnProbeTick
@@ -814,27 +663,18 @@ func (r *rackSim) energyParts() []*energy.Collector {
 }
 
 // fireOnLive hands the caller the live introspection handles just
-// before the engine runs: the per-part window collectors and the shard
-// engine's live counters.
+// before the heap runs: the per-part window and energy collectors.
 func (r *rackSim) fireOnLive() {
 	if r.opt.OnLive == nil {
 		return
 	}
-	r.opt.OnLive(LiveHandles{
-		SLO:          r.sloParts(),
-		Energy:       r.energyParts(),
-		ShardStats:   r.eng.LiveStats,
-		Shards:       r.eng.Shards(),
-		LookaheadSec: float64(r.eng.Lookahead()),
-	})
+	r.opt.OnLive(LiveHandles{SLO: r.sloParts(), Energy: r.energyParts()})
 }
 
 // finishSLO seals every window part at the run's horizon, folds them
 // in the canonical part order (matching finishObs), reduces the merged
 // timeline to QoS episodes, and emits the summary into the merged
-// deterministic sink. Everything emitted is computed from the merged
-// collector, so the export stays byte-identical at any shard count.
-// Call after finishObs.
+// deterministic sink. Call after finishObs.
 func (r *rackSim) finishSLO(horizon float64, res *Result) {
 	parts := r.sloParts()
 	if parts == nil {
@@ -855,8 +695,8 @@ func (r *rackSim) finishSLO(horizon float64, res *Result) {
 
 // finishEnergy seals every energy part at the run's horizon, folds them
 // in the canonical part order, and emits the run totals into the merged
-// deterministic sink — the same discipline as finishSLO, so the energy
-// export is byte-identical at any shard count. Call after finishObs.
+// deterministic sink — the same discipline as finishSLO. Call after
+// finishObs.
 func (r *rackSim) finishEnergy(horizon float64, res *Result) {
 	parts := r.energyParts()
 	if parts == nil {
@@ -889,10 +729,10 @@ func (r *rackSim) setupInteractive() {
 				cl.rng.Seed(rackSeed(r.opt.Seed, bd.global, ci))
 				// Stagger initial arrivals across one think time, from
 				// the client's own stream.
-				enc.sh.Sim.Schedule(des.Time(cl.rng.Float64()*(r.p.ThinkTimeSec+0.01)), cl.startFn)
+				r.sim.Schedule(des.Time(cl.rng.Float64()*(r.p.ThinkTimeSec+0.01)), cl.startFn)
 			}
 		}
-		enc.sh.Sim.Schedule(des.Time(r.opt.WarmupSec), func() {
+		r.sim.Schedule(des.Time(r.opt.WarmupSec), func() {
 			enc.measuring = true
 			for _, bd := range enc.boards {
 				bd.cpu.ResetWindow()
@@ -903,7 +743,7 @@ func (r *rackSim) setupInteractive() {
 			}
 		})
 	}
-	r.sh0.Sim.Schedule(des.Time(r.opt.WarmupSec), func() { r.san.ResetWindow() })
+	r.sim.Schedule(des.Time(r.opt.WarmupSec), func() { r.san.ResetWindow() })
 	if r.recording {
 		r.startProbes()
 	}
@@ -941,9 +781,7 @@ func (r *rackSim) setupBatch() int {
 }
 
 // utilization aggregates busy integrals over a measurement window of
-// windowSec, in fixed enclosure/board order — integrals don't depend on
-// each shard's final clock, so the map is partition-independent even
-// when a batch run ends with shard clocks apart.
+// windowSec, in fixed enclosure/board order.
 func (r *rackSim) utilization(windowSec float64) map[string]float64 {
 	var cpu, net float64
 	for _, bd := range r.boards {
@@ -971,13 +809,12 @@ func (r *rackSim) utilization(windowSec float64) map[string]float64 {
 }
 
 // finishObs folds the per-enclosure parts plus the rack-global part
-// into the caller's sink, in enclosure order — the same fold at every
-// shard count, so the export is byte-identical at any Shards value.
+// into the caller's sink, in enclosure order.
 func (r *rackSim) finishObs(clients int) {
 	if !r.recording {
 		return
 	}
-	r.global.Count("des.events", int64(r.eng.Fired()))
+	r.global.Count("des.events", int64(r.sim.Fired()))
 	r.global.Count("trial.clients", int64(clients))
 	parts := make([]*obs.Sink, 0, len(r.encs)+1)
 	for _, enc := range r.encs {
@@ -987,14 +824,23 @@ func (r *rackSim) finishObs(clients int) {
 	r.opt.Obs.(*obs.Sink).MergeFrom(parts...)
 }
 
-func (c Config) rackInteractive(t *ShardedTopology, gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
+// emitDiag records the heap's fired-event count into ShardDiag as
+// shard.fired.s0, the counter benchmark tooling reads as the run's
+// event total.
+func (r *rackSim) emitDiag() {
+	if obs.On(r.opt.ShardDiag) {
+		r.opt.ShardDiag.Count("shard.fired.s0", int64(r.sim.Fired()))
+	}
+}
+
+func (c Config) rackInteractive(t *RackTopology, gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
 	r, err := buildRack(c, t, gen, p, opt, obs.On(opt.Obs))
 	if err != nil {
 		return Result{}, err
 	}
 	r.setupInteractive()
 	r.fireOnLive()
-	r.eng.Run(des.Time(opt.WarmupSec + opt.MeasureSec))
+	r.sim.Run(des.Time(opt.WarmupSec + opt.MeasureSec))
 
 	hist := stats.NewLatencyHistogram()
 	completed := 0
@@ -1022,9 +868,7 @@ func (c Config) rackInteractive(t *ShardedTopology, gen workload.Generator, p wo
 	r.finishObs(clients)
 	r.finishSLO(opt.WarmupSec+opt.MeasureSec, &out)
 	r.finishEnergy(opt.WarmupSec+opt.MeasureSec, &out)
-	if r.opt.ShardDiag != nil {
-		r.eng.EmitDiagnostics(r.opt.ShardDiag)
-	}
+	r.emitDiag()
 	return out, nil
 }
 
@@ -1033,7 +877,7 @@ func (c Config) rackInteractive(t *ShardedTopology, gen workload.Generator, p wo
 // keep rescheduling forever against an open horizon), then an
 // instrumented replay to exactly that horizon — same seeds, identical
 // trajectory — so timelines cover the whole job.
-func (c Config) rackBatch(t *ShardedTopology, gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
+func (c Config) rackBatch(t *RackTopology, gen workload.Generator, p workload.Profile, opt SimOptions) (Result, error) {
 	r, err := buildRack(c, t, gen, p, opt, false)
 	if err != nil {
 		return Result{}, err
@@ -1042,7 +886,7 @@ func (c Config) rackBatch(t *ShardedTopology, gen workload.Generator, p workload
 	if !obs.On(opt.Obs) {
 		r.fireOnLive() // no instrumented replay will follow
 	}
-	r.eng.Run(des.Time(math.Inf(1)))
+	r.sim.Run(des.Time(math.MaxFloat64))
 	if r.aggDone != p.JobRequests {
 		return Result{}, fmt.Errorf("cluster: rack batch job stalled at %d/%d chunks", r.aggDone, p.JobRequests)
 	}
@@ -1056,7 +900,7 @@ func (c Config) rackBatch(t *ShardedTopology, gen workload.Generator, p workload
 		}
 		r2.setupBatch()
 		r2.fireOnLive()
-		r2.eng.Run(r.aggFinish)
+		r2.sim.Run(r.aggFinish)
 		if r2.aggDone != r.aggDone || r2.aggFinish != r.aggFinish {
 			return Result{}, fmt.Errorf("cluster: instrumented rack replay diverged: %d/%d chunks at %v vs %v",
 				r2.aggDone, r.aggDone, r2.aggFinish, r.aggFinish)
@@ -1065,9 +909,7 @@ func (c Config) rackBatch(t *ShardedTopology, gen workload.Generator, p workload
 	}
 	clients := slots * len(r.boards)
 	measured.finishObs(clients)
-	if opt.ShardDiag != nil {
-		measured.eng.EmitDiagnostics(opt.ShardDiag)
-	}
+	measured.emitDiag()
 	util := measured.utilization(exec)
 	out := Result{
 		Throughput:  float64(p.JobRequests) / exec,

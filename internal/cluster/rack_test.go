@@ -1,87 +1,23 @@
 package cluster
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"warehousesim/internal/obs"
 	"warehousesim/internal/platform"
-	"warehousesim/internal/power"
 	"warehousesim/internal/stats"
 	"warehousesim/internal/workload"
 )
 
-func rackTopology(shards int) *ShardedTopology {
-	return &ShardedTopology{Enclosures: 4, BoardsPerEnclosure: 2, ClientsPerBoard: 2, Shards: shards}
+func rackTopology() *RackTopology {
+	return &RackTopology{Enclosures: 4, BoardsPerEnclosure: 2, ClientsPerBoard: 2}
 }
 
-func rackOptions(shards int, rec obs.Recorder) SimOptions {
+func rackOptions(rec obs.Recorder) SimOptions {
 	return SimOptions{
 		Seed: 7, WarmupSec: 2, MeasureSec: 10, MaxClients: 64,
 		Obs: rec, ProbeIntervalSec: 0.5, TraceEvery: 50,
-		Topology: rackTopology(shards),
-	}
-}
-
-// rackRun simulates the reference rack at the given shard count and
-// returns the Result plus the recorded export bytes.
-func rackRun(t *testing.T, p workload.Profile, shards int) (Result, []byte) {
-	t.Helper()
-	cfg := Config{Server: platform.Desk(), MemSlowdown: 0.05}
-	sink := obs.NewSink()
-	res, err := cfg.Simulate(workload.FixedGenerator{P: p}, rackOptions(shards, sink))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := sink.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return res, buf.Bytes()
-}
-
-// TestRackShardInvarianceInteractive is the acceptance gate of the
-// sharded kernel: the same interactive rack run must produce
-// DeepEqual Results and byte-identical obs exports at every legal
-// shard count.
-func TestRackShardInvarianceInteractive(t *testing.T) {
-	p := testProfile()
-	ref, refExport := rackRun(t, p, 1)
-	if ref.Throughput <= 0 || ref.Clients != 4*2*2 {
-		t.Fatalf("degenerate reference result: %+v", ref)
-	}
-	for _, shards := range []int{2, 3, 4} {
-		res, export := rackRun(t, p, shards)
-		if !reflect.DeepEqual(ref, res) {
-			t.Errorf("shards=%d result differs:\n  1: %+v\n  %d: %+v", shards, ref, shards, res)
-		}
-		if !bytes.Equal(refExport, export) {
-			t.Errorf("shards=%d export differs from shards=1 (%d vs %d bytes)",
-				shards, len(refExport), len(export))
-		}
-	}
-}
-
-// TestRackShardInvarianceBatch: the mapreduce job — with its
-// cross-enclosure shuffle and shard-0 aggregator — must likewise be
-// partition-independent, including the recorded replay.
-func TestRackShardInvarianceBatch(t *testing.T) {
-	p := batchProfile()
-	p.JobRequests = 300
-	ref, refExport := rackRun(t, p, 1)
-	if ref.ExecTime <= 0 {
-		t.Fatalf("degenerate reference result: %+v", ref)
-	}
-	for _, shards := range []int{2, 4} {
-		res, export := rackRun(t, p, shards)
-		if !reflect.DeepEqual(ref, res) {
-			t.Errorf("shards=%d result differs:\n  1: %+v\n  %d: %+v", shards, ref, shards, res)
-		}
-		if !bytes.Equal(refExport, export) {
-			t.Errorf("shards=%d export differs from shards=1 (%d vs %d bytes)",
-				shards, len(refExport), len(export))
-		}
+		Topology: rackTopology(),
 	}
 }
 
@@ -90,11 +26,11 @@ func TestRackShardInvarianceBatch(t *testing.T) {
 func TestRackObsDoesNotChangeResult(t *testing.T) {
 	cfg := Config{Server: platform.Desk(), MemSlowdown: 0.05}
 	gen := workload.FixedGenerator{P: testProfile()}
-	plain, err := cfg.Simulate(gen, rackOptions(2, nil))
+	plain, err := cfg.Simulate(gen, rackOptions(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	probed, err := cfg.Simulate(gen, rackOptions(2, obs.NewSink()))
+	probed, err := cfg.Simulate(gen, rackOptions(obs.NewSink()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,33 +40,36 @@ func TestRackObsDoesNotChangeResult(t *testing.T) {
 	}
 }
 
-// TestRackShardDiag: engine diagnostics land in ShardDiag, not in the
-// byte-compared export.
+// TestRackShardDiag: the heap's fired-event count lands in ShardDiag as
+// shard.fired.s0 — the total the obs export reports as des.events —
+// and nothing else does.
 func TestRackShardDiag(t *testing.T) {
 	cfg := Config{Server: platform.Desk()}
-	diag := obs.NewSink()
-	opt := rackOptions(4, nil)
-	opt.ShardDiag = diag
-	if _, err := cfg.Simulate(workload.FixedGenerator{P: testProfile()}, opt); err != nil {
-		t.Fatal(err)
-	}
-	if diag.CounterValue("shard.windows.s0") == 0 {
-		t.Fatal("no shard.windows diagnostic recorded")
-	}
-	if diag.CounterValue("shard.fired.s0") == 0 {
-		t.Fatal("no shard.fired diagnostic recorded")
+	for _, p := range []workload.Profile{testProfile(), batchProfile()} {
+		diag, sink := obs.NewSink(), obs.NewSink()
+		opt := rackOptions(sink)
+		opt.ShardDiag = diag
+		if _, err := cfg.Simulate(workload.FixedGenerator{P: p}, opt); err != nil {
+			t.Fatal(err)
+		}
+		fired := diag.CounterValue("shard.fired.s0")
+		if fired == 0 || fired != sink.CounterValue("des.events") {
+			t.Errorf("%s: shard.fired.s0 = %d, obs des.events = %d", p.Name, fired, sink.CounterValue("des.events"))
+		}
+		if len(diag.SeriesNames()) != 0 || len(diag.Events()) != 0 {
+			t.Errorf("%s: ShardDiag holds series or events besides shard.fired.s0", p.Name)
+		}
 	}
 }
 
 // TestRackSingleEnclosure: the degenerate one-enclosure rack still runs
-// (Shards clamps to 1) and zero think time — the tightest event cadence
-// the model produces — does not deadlock the exchange.
+// at zero think time, the tightest event cadence the model produces.
 func TestRackSingleEnclosure(t *testing.T) {
 	p := testProfile()
 	p.ThinkTimeSec = 0
 	cfg := Config{Server: platform.Desk()}
-	opt := rackOptions(8, nil)
-	opt.Topology = &ShardedTopology{Enclosures: 1, BoardsPerEnclosure: 2, ClientsPerBoard: 1, Shards: 8}
+	opt := rackOptions(nil)
+	opt.Topology = &RackTopology{Enclosures: 1, BoardsPerEnclosure: 2, ClientsPerBoard: 1}
 	res, err := cfg.Simulate(workload.FixedGenerator{P: p}, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -147,11 +86,11 @@ type statefulGen struct{ p workload.Profile }
 func (g statefulGen) Profile() workload.Profile          { return g.p }
 func (g statefulGen) Sample(*stats.RNG) workload.Request { return g.p.MeanRequest() }
 
-// TestRackRejectsStatefulGenerator: rack runs sample the generator
-// concurrently across shards and must refuse stateful ones.
+// TestRackRejectsStatefulGenerator: a fleet's hot racks sample the
+// generator concurrently, so rack runs must refuse stateful ones.
 func TestRackRejectsStatefulGenerator(t *testing.T) {
 	cfg := Config{Server: platform.Desk()}
-	if _, err := cfg.Simulate(statefulGen{p: testProfile()}, rackOptions(2, nil)); err == nil {
+	if _, err := cfg.Simulate(statefulGen{p: testProfile()}, rackOptions(nil)); err == nil {
 		t.Fatal("stateful generator accepted by rack model")
 	}
 }
@@ -165,110 +104,35 @@ func TestNormalizeDefaults(t *testing.T) {
 	if n.ProbeIntervalSec != 1 || n.Parallelism != 1 {
 		t.Fatalf("defaults not applied: %+v", n)
 	}
-	o.Topology = &ShardedTopology{Enclosures: 4, BoardsPerEnclosure: 1, Shards: 9}
+	// Nil topology pointers select the flat model like an untyped nil.
+	for _, nilTopo := range []Topology{(*RackTopology)(nil), (*FleetTopology)(nil)} {
+		o.Topology = nilTopo
+		if n, err := o.Normalize(); err != nil || n.Topology != nil {
+			t.Fatalf("%T(nil) normalized to %v, %v; want the flat model", nilTopo, n.Topology, err)
+		}
+	}
+	o.Topology = &RackTopology{Enclosures: 4, BoardsPerEnclosure: 1}
 	n, err = o.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	nt := n.Topology.(*ShardedTopology)
-	if nt.Shards != 4 || nt.ClientsPerBoard != 4 || nt.SANDisks != 4 {
+	nt := n.Topology.(*RackTopology)
+	if nt.ClientsPerBoard != 4 || nt.SANDisks != 4 {
 		t.Fatalf("topology defaults not applied: %+v", *nt)
 	}
-	if o.Topology.(*ShardedTopology).Shards != 9 {
+	if c := o.Topology.(*RackTopology); c.ClientsPerBoard != 0 || c.SANDisks != 0 {
 		t.Fatal("Normalize mutated the caller's topology")
 	}
 }
 
-// TestPlacementOf: the enclosure packing is a pure function of the
-// normalized topology — block is the contiguous split, balanced is the
-// LPT packer over board*client weights with the SAN pinned to shard 0
-// repelling work — and a skewed rack is where the two must differ.
-func TestPlacementOf(t *testing.T) {
-	topo := ShardedTopology{
-		Enclosures: 4, Boards: []int{5, 1, 1, 1}, ClientsPerBoard: 2,
-		SANDisks: 4, Shards: 2,
-	}
-	if got := topo.PlacementOf(); !reflect.DeepEqual(got, []int{0, 0, 1, 1}) {
-		t.Errorf("block placement = %v", got)
-	}
-	topo.Placement = PlacementBalanced
-	// Weights 11,3,3,3 against a SAN bias of 5 on shard 0: the giant
-	// goes to the empty shard 1, the small enclosures fill shard 0.
-	if got := topo.PlacementOf(); !reflect.DeepEqual(got, []int{1, 0, 0, 0}) {
-		t.Errorf("balanced placement = %v", got)
-	}
-	for i := 0; i < 3; i++ {
-		if again := topo.PlacementOf(); !reflect.DeepEqual(again, []int{1, 0, 0, 0}) {
-			t.Fatalf("placement not deterministic: %v", again)
-		}
-	}
-}
-
-// TestRackPlacementInvariance is the tentpole acceptance gate in full:
-// a skewed heterogeneous rack (one 5-board enclosure plus three
-// 1-board ones) must produce DeepEqual Results and byte-identical
-// obs, SLO, and energy exports at shards 1/2/4 under both placements.
-func TestRackPlacementInvariance(t *testing.T) {
-	p := testProfile()
-	run := func(shards int, placement string) (Result, []byte, []byte, []byte) {
-		cfg := Config{Server: platform.Desk(), MemSlowdown: 0.05}
-		sink := obs.NewSink()
-		opt := rackOptions(shards, sink)
-		opt.Topology = &ShardedTopology{
-			Enclosures: 4, Boards: []int{5, 1, 1, 1}, ClientsPerBoard: 2,
-			Shards: shards, Placement: placement,
-		}
-		opt.SLOWindowSec = 1
-		opt.Energy = testEnergyConfig(1, power.DefaultIdleFractions())
-		res, err := cfg.Simulate(workload.FixedGenerator{P: p}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := sink.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		slo, en := sloExport(t, res), energyExport(t, res)
-		// The collector handles are fresh pointers per run; the exports
-		// above already compare their contents byte for byte.
-		res.SLO, res.SLOParts, res.Energy, res.EnergyParts = nil, nil, nil, nil
-		return res, buf.Bytes(), slo, en
-	}
-	ref, refObs, refSLO, refEnergy := run(1, PlacementBlock)
-	if ref.Throughput <= 0 || ref.Clients != (5+1+1+1)*2 {
-		t.Fatalf("degenerate reference result: %+v", ref)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		for _, placement := range []string{PlacementBlock, PlacementBalanced} {
-			if shards == 1 && placement == PlacementBlock {
-				continue // the reference itself
-			}
-			res, obsB, slo, en := run(shards, placement)
-			if !reflect.DeepEqual(ref, res) {
-				t.Errorf("shards=%d %s: result differs:\n  ref: %+v\n  got: %+v", shards, placement, ref, res)
-			}
-			if !bytes.Equal(refObs, obsB) {
-				t.Errorf("shards=%d %s: obs export differs (%d vs %d bytes)", shards, placement, len(refObs), len(obsB))
-			}
-			if !bytes.Equal(refSLO, slo) {
-				t.Errorf("shards=%d %s: SLO export differs (%d vs %d bytes)", shards, placement, len(refSLO), len(slo))
-			}
-			if !bytes.Equal(refEnergy, en) {
-				t.Errorf("shards=%d %s: energy export differs (%d vs %d bytes)", shards, placement, len(refEnergy), len(en))
-			}
-		}
-	}
-}
-
 func TestNormalizeRejectsBadTopology(t *testing.T) {
-	for _, topo := range []ShardedTopology{
+	for _, topo := range []RackTopology{
 		{Enclosures: 0, BoardsPerEnclosure: 1},
 		{Enclosures: 1, BoardsPerEnclosure: 0},
 		{Enclosures: 1, BoardsPerEnclosure: 1, ClientsPerBoard: -1},
 		{Enclosures: 1, BoardsPerEnclosure: 1, SANDisks: -2},
 		{Enclosures: 2, Boards: []int{1}},
 		{Enclosures: 2, Boards: []int{1, 0}},
-		{Enclosures: 1, BoardsPerEnclosure: 1, Placement: "spiral"},
 	} {
 		topo := topo
 		o := SimOptions{Seed: 1, WarmupSec: 1, MeasureSec: 10, MaxClients: 8, Topology: &topo}

@@ -76,9 +76,6 @@ func TestSLOFlatInteractive(t *testing.T) {
 	if len(live.SLO) != 1 || live.SLO[0] != res.SLO {
 		t.Errorf("OnLive handles = %+v, want the run's single collector", live)
 	}
-	if live.ShardStats != nil {
-		t.Error("flat run handed out shard stats")
-	}
 	// The episode summary lands in the deterministic stream.
 	if sink.CounterValue("slo.windows") != int64(len(ws)) {
 		t.Errorf("slo.windows counter %d != %d windows", sink.CounterValue("slo.windows"), len(ws))
@@ -116,74 +113,29 @@ func TestSLOFlatParInvariance(t *testing.T) {
 	}
 }
 
-// TestSLORackShardInvariance is the tentpole acceptance gate: the
-// whole windowed export — manifest included — and the obs export with
-// the slo.* summary folded in must be byte-identical at every shard
-// count, while the merged collector reproduces the per-enclosure
-// parts.
-func TestSLORackShardInvariance(t *testing.T) {
-	p := testProfile()
-	run := func(shards int) (Result, []byte, []byte) {
-		cfg := Config{Server: platform.Desk(), MemSlowdown: 0.05}
-		sink := obs.NewSink()
-		opt := rackOptions(shards, sink)
-		opt.SLOWindowSec = 1
-		res, err := cfg.Simulate(workload.FixedGenerator{P: p}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := sink.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return res, sloExport(t, res), buf.Bytes()
-	}
-	ref, refSLO, refObs := run(1)
-	if wantParts := rackTopology(1).Enclosures + 1; len(ref.SLOParts) != wantParts {
-		t.Fatalf("got %d SLO parts, want %d (enclosures + global)", len(ref.SLOParts), wantParts)
-	}
-	if len(ref.SLO.Windows()) == 0 {
-		t.Fatal("no windows collected")
-	}
-	for _, shards := range []int{2, 4} {
-		_, slo, obsExp := run(shards)
-		if !bytes.Equal(refSLO, slo) {
-			t.Errorf("shards=%d slo export differs from shards=1", shards)
-		}
-		if !bytes.Equal(refObs, obsExp) {
-			t.Errorf("shards=%d obs export differs from shards=1", shards)
-		}
-	}
-}
-
 // TestSLORackLiveHandles: a Topology run hands the introspection
-// server every per-part collector plus the engine's live counters.
+// server every per-part collector, in the order the run merges them.
 func TestSLORackLiveHandles(t *testing.T) {
 	cfg := Config{Server: platform.Desk(), MemSlowdown: 0.05}
 	sink := obs.NewSink()
-	opt := rackOptions(2, sink)
+	opt := rackOptions(sink)
 	opt.SLOWindowSec = 1
 	var live LiveHandles
 	opt.OnLive = func(h LiveHandles) { live = h }
-	if _, err := cfg.Simulate(workload.FixedGenerator{P: testProfile()}, opt); err != nil {
+	res, err := cfg.Simulate(workload.FixedGenerator{P: testProfile()}, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(live.SLO) != rackTopology(2).Enclosures+1 {
+	if len(live.SLO) != rackTopology().Enclosures+1 {
 		t.Errorf("OnLive SLO parts = %d", len(live.SLO))
 	}
-	if live.Shards != 2 || live.LookaheadSec <= 0 || live.ShardStats == nil {
-		t.Errorf("OnLive engine handles = %+v", live)
+	for i, part := range live.SLO {
+		if i >= len(res.SLOParts) || part != res.SLOParts[i] {
+			t.Fatalf("OnLive SLO part %d is not the run's part %d", i, i)
+		}
 	}
-	st := live.ShardStats()
-	if len(st) != 2 {
-		t.Fatalf("live shard stats = %+v", st)
-	}
-	var fired uint64
-	for _, s := range st {
-		fired += s.Fired
-	}
-	if fired == 0 {
-		t.Error("live shard stats show no events after the run")
+	if live.Energy != nil {
+		t.Errorf("OnLive handed out %d energy parts with the energy plane off", len(live.Energy))
 	}
 	// Every part published live summaries the introspection snapshot
 	// can render.

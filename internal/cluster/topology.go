@@ -3,8 +3,8 @@ package cluster
 import "warehousesim/internal/workload"
 
 // Topology selects the simulation model behind Simulate. It is a small
-// closed interface — the two implementations are *ShardedTopology (one
-// rack of enclosures on the sharded kernel, rack.go) and *FleetTopology
+// closed interface — the two implementations are *RackTopology (one
+// rack of enclosures on one event heap, rack.go) and *FleetTopology
 // (a fleet of racks, hot ones on full DES and cold ones on the analytic
 // M/M/m stand-in, fleet.go) — and SimOptions.Topology holds one of
 // them; nil selects the flat single-server model.
@@ -13,8 +13,8 @@ import "warehousesim/internal/workload"
 // defaulting hook SimOptions.Normalize dispatches on, and the unexported
 // build hook is what Simulate dispatches on after config and profile
 // validation. Keeping the build hook unexported closes the interface:
-// the partition-independence discipline (byte-identical exports at any
-// shard or worker count) is a property of the implementations in this
+// the determinism discipline (byte-identical exports at any worker
+// count and hot-set order) is a property of the implementations in this
 // package, not something an external topology could promise.
 type Topology interface {
 	// Normalize validates the topology and fills defaulted fields in

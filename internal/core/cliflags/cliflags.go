@@ -1,12 +1,12 @@
 // Package cliflags centralizes the flag wiring the cmd/* mains share:
 // pprof profile capture, obs recording/export, worker parallelism, the
-// live-introspection HTTP endpoint, the sharded-rack topology, and the
-// hybrid fleet model. Each
+// live-introspection HTTP endpoint, the rack topology, and the hybrid
+// fleet model. Each
 // Add* helper registers its flags on a caller-supplied FlagSet (the
 // mains pass flag.CommandLine) and returns a handle whose methods apply
 // the conventions that every tool previously re-implemented by hand —
-// "-obs-out implies -obs", "-par must be >= 1", "-shards picks the rack
-// model" — so the five binaries cannot drift apart on them.
+// "-obs-out implies -obs", "-par must be >= 1", "-shards 1 picks the
+// rack model" — so the five binaries cannot drift apart on them.
 package cliflags
 
 import (
@@ -111,17 +111,14 @@ func AddHTTP(fs *flag.FlagSet, snapshot string) *HTTP {
 // introspect.ServeAddr from the main.
 func (h *HTTP) Addr() string { return *h.addr }
 
-// Sharding is the rack-topology flag group: -shards selects the sharded
-// multi-enclosure model (0 keeps the flat single-server model), with
-// -enclosures/-boards/-clients-per-board sizing the rack, -placement
-// choosing the enclosure-to-shard packing, and -shard-diag exporting
-// the engine's synchronization diagnostics.
+// Sharding is the rack-topology flag group: -shards 1 selects the
+// multi-enclosure rack model, which runs on one event heap (0 keeps
+// the flat single-server model), with -enclosures/-boards/
+// -clients-per-board sizing the rack.
 type Sharding struct {
 	fs                          *flag.FlagSet
 	shards, enclosures, clients *int
 	boards                      *string
-	placement                   *string
-	diagOut                     *string
 }
 
 // AddSharding registers the rack flags.
@@ -129,21 +126,17 @@ func AddSharding(fs *flag.FlagSet) *Sharding {
 	return &Sharding{
 		fs: fs,
 		shards: fs.Int("shards", 0,
-			"run the sharded multi-enclosure rack model with this many event heaps (0 = flat single-server model; results are identical at every value >= 1)"),
-		enclosures: fs.Int("enclosures", 4, "rack enclosures (with -shards)"),
+			"1 runs the multi-enclosure rack model on one event heap, 0 the flat single-server model"),
+		enclosures: fs.Int("enclosures", 4, "rack enclosures (with -shards 1)"),
 		boards: fs.String("boards", "4",
-			"server boards per enclosure (with -shards): one count for a uniform rack, or a comma list like 8,2,2,2 for a skewed one (sets -enclosures from its length unless -enclosures is given)"),
+			"server boards per enclosure (with -shards 1): one count for a uniform rack, or a comma list like 8,2,2,2 for a skewed one (sets -enclosures from its length unless -enclosures is given)"),
 		clients: fs.Int("clients-per-board", 0,
-			"closed-loop clients per board for interactive rack runs (0 = default provisioning; with -shards)"),
-		placement: fs.String("placement", "",
-			"enclosure-to-shard placement: block (contiguous split, the default) or balanced (deterministic load-aware bin-packing; with -shards)"),
-		diagOut: fs.String("shard-diag", "",
-			"write the shard engine's scheduling-dependent diagnostics (clock skew, mailbox depth) here as JSONL (with -shards)"),
+			"closed-loop clients per board for interactive rack runs (0 = default provisioning; with -shards 1)"),
 	}
 }
 
 // Enabled reports whether the rack model was selected.
-func (s *Sharding) Enabled() bool { return *s.shards > 0 }
+func (s *Sharding) Enabled() bool { return *s.shards == 1 }
 
 // parseBoards splits the -boards value: a single count means a uniform
 // rack (per > 0, list nil), a comma list a skewed one (list non-nil).
@@ -178,25 +171,34 @@ func (s *Sharding) explicitlySet(name string) bool {
 	return set
 }
 
-// Topology builds the cluster topology, nil when -shards was not
+// Topology builds the cluster topology, nil when -shards 1 was not
 // given. A comma-list -boards yields a heterogeneous rack and, when
 // -enclosures was not passed explicitly, sizes the rack from the
 // list's length. Topology validation happens in SimOptions.Normalize;
 // -boards syntax errors are caught by Validate.
-func (s *Sharding) Topology() *cluster.ShardedTopology {
+func (s *Sharding) Topology() *cluster.RackTopology {
 	if !s.Enabled() {
 		return nil
 	}
-	t := s.RackTemplate()
+	t := s.RackTemplate().RackTopology
 	return &t
 }
 
-// RackTemplate builds the rack topology value regardless of whether
-// -shards selected the rack model — the fleet group uses it as the
-// per-rack template, where the rack flags are sizing hints rather than
-// the model selector (a fleet run shards each hot rack with -shards,
-// defaulting to 1 when unset).
-func (s *Sharding) RackTemplate() cluster.ShardedTopology {
+// Rack is the rack template the flags describe, with the -shards value
+// that selects the rack model.
+type Rack struct {
+	cluster.RackTopology
+	// Shards is the -shards value: 1 with the rack model, else 0. The
+	// benchmark (perfbench) reads it to find the rack's ShardDiag
+	// counters.
+	Shards int
+}
+
+// RackTemplate builds the rack template regardless of whether -shards
+// selected the rack model — the fleet group uses it as the per-rack
+// template, where the rack flags are sizing hints rather than the
+// model selector.
+func (s *Sharding) RackTemplate() Rack {
 	per, list, err := parseBoards(*s.boards)
 	if err != nil {
 		per, list = 0, nil // Validate reports the syntax error loudly
@@ -205,30 +207,23 @@ func (s *Sharding) RackTemplate() cluster.ShardedTopology {
 	if list != nil && !s.explicitlySet("enclosures") {
 		encl = len(list)
 	}
-	return cluster.ShardedTopology{
-		Enclosures:         encl,
-		BoardsPerEnclosure: per,
-		Boards:             list,
-		ClientsPerBoard:    *s.clients,
-		Shards:             *s.shards,
-		Placement:          *s.placement,
+	return Rack{
+		RackTopology: cluster.RackTopology{
+			Enclosures:         encl,
+			BoardsPerEnclosure: per,
+			Boards:             list,
+			ClientsPerBoard:    *s.clients,
+		},
+		Shards: *s.shards,
 	}
 }
 
-// DiagOut returns the -shard-diag path ("" when unset).
-func (s *Sharding) DiagOut() string { return *s.diagOut }
-
-// Validate rejects contradictory combinations instead of silently
-// ignoring them: -shard-diag and -placement configure the shard
-// engine, which only exists when -shards selects the rack model, and a
-// malformed -boards list must fail here rather than surface as a
-// confusing topology error.
+// Validate rejects a -shards value that names no model, instead of
+// silently running the flat one, and a malformed -boards list, which
+// must fail here rather than surface as a confusing topology error.
 func (s *Sharding) Validate() error {
-	if *s.diagOut != "" && !s.Enabled() {
-		return fmt.Errorf("-shard-diag %s needs the sharded rack model: pass -shards N (the flat model has no shard engine to diagnose)", *s.diagOut)
-	}
-	if *s.placement != "" && !s.Enabled() {
-		return fmt.Errorf("-placement %s needs the sharded rack model: pass -shards N (the flat model has nothing to place)", *s.placement)
+	if *s.shards != 0 && *s.shards != 1 {
+		return fmt.Errorf("-shards %d: the rack model runs on one event heap, so -shards takes 1 (rack model) or 0 (flat single-server model)", *s.shards)
 	}
 	if _, _, err := parseBoards(*s.boards); err != nil {
 		return err
@@ -239,8 +234,8 @@ func (s *Sharding) Validate() error {
 // Fleet is the fleet-model flag group: -racks selects the hybrid
 // fleet model (0 keeps whatever -shards selected), -hot-racks/-hot-set
 // choose which racks run full DES, and -balancer picks the routing
-// policy. The rack flags (-enclosures/-boards/-clients-per-board/
-// -shards/-placement) size the per-rack template.
+// policy. The rack flags (-enclosures/-boards/-clients-per-board) size
+// the per-rack template.
 type Fleet struct {
 	fs       *flag.FlagSet
 	racks    *int
@@ -303,15 +298,15 @@ func (f *Fleet) Topology() *cluster.FleetTopology {
 		Racks:    *f.racks,
 		HotRacks: *f.hot,
 		HotSet:   hotSet,
-		Rack:     f.sharding.RackTemplate(),
+		Rack:     f.sharding.RackTemplate().RackTopology,
 		Balancer: *f.balancer,
 	}
 }
 
 // Validate rejects fleet flags without -racks: -hot-racks, -hot-set,
 // and -balancer configure the fleet's balancer tier, which only exists
-// when -racks selects the fleet model (the same pattern as -shard-diag
-// without -shards). A malformed -hot-set fails here too.
+// when -racks selects the fleet model. A malformed -hot-set fails here
+// too.
 func (f *Fleet) Validate() error {
 	if !f.Enabled() {
 		if *f.hot != 0 {

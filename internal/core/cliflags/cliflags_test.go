@@ -7,16 +7,22 @@ import (
 	"testing"
 )
 
-// newSet builds a quiet FlagSet with every validated group registered,
-// parses args, and returns the groups.
-func newSet(t *testing.T, args ...string) (*Sharding, *SLO, *Energy) {
-	t.Helper()
+// parseSet builds a quiet FlagSet with every validated group
+// registered, parses args, and returns the groups and the parse error.
+func parseSet(args ...string) (*Sharding, *SLO, *Energy, error) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	sh := AddSharding(fs)
 	slo := AddSLO(fs)
 	en := AddEnergy(fs)
-	if err := fs.Parse(args); err != nil {
+	return sh, slo, en, fs.Parse(args)
+}
+
+// newSet is parseSet for command lines that must parse.
+func newSet(t *testing.T, args ...string) (*Sharding, *SLO, *Energy) {
+	t.Helper()
+	sh, slo, en, err := parseSet(args...)
+	if err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
 	return sh, slo, en
@@ -36,18 +42,25 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"energy-out-alone", []string{"-energy-out", "e.jsonl"}, "requires -energy-window"},
 		{"energy-out-with-window", []string{"-energy-window", "1s", "-energy-out", "e.jsonl"}, ""},
 		{"energy-window-alone", []string{"-energy-window", "1s"}, ""},
-		{"shard-diag-without-shards", []string{"-shard-diag", "d.jsonl"}, "needs the sharded rack model"},
-		{"shard-diag-with-shards", []string{"-shards", "2", "-shard-diag", "d.jsonl"}, ""},
-		{"placement-without-shards", []string{"-placement", "balanced"}, "needs the sharded rack model"},
-		{"placement-with-shards", []string{"-shards", "2", "-placement", "balanced"}, ""},
-		{"boards-list", []string{"-shards", "2", "-boards", "8,2,2,2"}, ""},
-		{"boards-garbage", []string{"-shards", "2", "-boards", "many"}, "-boards"},
-		{"boards-list-garbage", []string{"-shards", "2", "-boards", "8,x,2"}, "entry 1"},
+		{"shards-flat", []string{"-shards", "0"}, ""},
+		{"shards-rack", []string{"-shards", "1"}, ""},
+		{"shards-negative", []string{"-shards", "-3"}, "one event heap"},
+		{"shards-two", []string{"-shards", "2"}, "one event heap"},
+		// -shard-diag and -placement are not flags.
+		{"shard-diag-without-shards", []string{"-shard-diag", "d.jsonl"}, "flag provided but not defined: -shard-diag"},
+		{"shard-diag-with-shards", []string{"-shards", "1", "-shard-diag", "d.jsonl"}, "flag provided but not defined: -shard-diag"},
+		{"placement-without-shards", []string{"-placement", "balanced"}, "flag provided but not defined: -placement"},
+		{"placement-with-shards", []string{"-shards", "1", "-placement", "balanced"}, "flag provided but not defined: -placement"},
+		{"boards-list", []string{"-shards", "1", "-boards", "8,2,2,2"}, ""},
+		{"boards-garbage", []string{"-shards", "1", "-boards", "many"}, "-boards"},
+		{"boards-list-garbage", []string{"-shards", "1", "-boards", "8,x,2"}, "entry 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sh, slo, en := newSet(t, tc.args...)
-			err := Validate(sh, slo, en)
+			sh, slo, en, err := parseSet(tc.args...)
+			if err == nil {
+				err = Validate(sh, slo, en)
+			}
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("Validate(%v) = %v, want nil", tc.args, err)
@@ -97,16 +110,19 @@ func TestEnergyAccessors(t *testing.T) {
 }
 
 func TestShardingAccessors(t *testing.T) {
-	sh, _, _ := newSet(t, "-shards", "2", "-enclosures", "8", "-boards", "2", "-clients-per-board", "3")
+	sh, _, _ := newSet(t, "-shards", "1", "-enclosures", "8", "-boards", "2", "-clients-per-board", "3")
 	if !sh.Enabled() {
-		t.Fatal("sharding not enabled")
+		t.Fatal("rack model not enabled")
 	}
 	topo := sh.Topology()
-	if topo == nil || topo.Shards != 2 || topo.Enclosures != 8 || topo.BoardsPerEnclosure != 2 || topo.ClientsPerBoard != 3 {
+	if topo == nil || topo.Enclosures != 8 || topo.BoardsPerEnclosure != 2 || topo.ClientsPerBoard != 3 {
 		t.Errorf("topology %+v", topo)
 	}
+	if tmpl := sh.RackTemplate(); tmpl.Shards != 1 || tmpl.RackTopology.Enclosures != 8 {
+		t.Errorf("rack template %+v", tmpl)
+	}
 	sh, _, _ = newSet(t)
-	if sh.Enabled() || sh.Topology() != nil {
+	if sh.Enabled() || sh.Topology() != nil || sh.RackTemplate().Shards != 0 {
 		t.Error("flat model should have nil topology")
 	}
 }
@@ -116,21 +132,18 @@ func TestShardingAccessors(t *testing.T) {
 // -enclosures was passed explicitly, which wins (and lets Normalize
 // report the length mismatch).
 func TestShardingBoardsList(t *testing.T) {
-	sh, _, _ := newSet(t, "-shards", "2", "-boards", "8,2,2,2", "-placement", "balanced")
+	sh, _, _ := newSet(t, "-shards", "1", "-boards", "8,2,2,2")
 	topo := sh.Topology()
 	if topo == nil || topo.Enclosures != 4 || len(topo.Boards) != 4 ||
 		topo.Boards[0] != 8 || topo.Boards[3] != 2 || topo.BoardsPerEnclosure != 0 {
 		t.Errorf("list topology %+v", topo)
 	}
-	if topo.Placement != "balanced" {
-		t.Errorf("placement %q not threaded through", topo.Placement)
-	}
-	sh, _, _ = newSet(t, "-shards", "2", "-boards", "8,2", "-enclosures", "3")
+	sh, _, _ = newSet(t, "-shards", "1", "-boards", "8,2", "-enclosures", "3")
 	if topo := sh.Topology(); topo.Enclosures != 3 || len(topo.Boards) != 2 {
 		t.Errorf("explicit -enclosures overridden: %+v", topo)
 	}
 	// Uniform single count: the pre-list behavior, untouched.
-	sh, _, _ = newSet(t, "-shards", "2", "-boards", " 6 ")
+	sh, _, _ = newSet(t, "-shards", "1", "-boards", " 6 ")
 	if topo := sh.Topology(); topo.BoardsPerEnclosure != 6 || topo.Boards != nil {
 		t.Errorf("uniform topology %+v", topo)
 	}

@@ -196,39 +196,6 @@ func (s *Sim) Run(until Time) Time {
 // are removed eagerly, so they never count here.
 func (s *Sim) Pending() int { return len(s.events) }
 
-// PeekNext returns the timestamp of the earliest queued event without
-// executing it. ok is false when the queue is empty. The sharded kernel
-// uses this to decide whether to run a local event or deliver a pending
-// cross-shard message first.
-func (s *Sim) PeekNext() (at Time, ok bool) {
-	if len(s.events) == 0 {
-		return 0, false
-	}
-	return s.events[0].at, true
-}
-
-// RunNext executes exactly the earliest queued event and returns true,
-// or returns false when the queue is empty. It is the single-step
-// building block of the sharded kernel's advance loop, which must
-// interleave event execution with message delivery at event
-// granularity; firing order and the seq tie-break stream are identical
-// to Run.
-//
-//perf:hotpath
-func (s *Sim) RunNext() bool {
-	if len(s.events) == 0 {
-		return false
-	}
-	ev := s.events[0]
-	heap.Pop(&s.events)
-	at, act := ev.at, ev.act
-	s.recycle(ev)
-	s.now = at
-	s.fired++
-	act()
-	return true
-}
-
 // Reset rewinds the simulator to time zero for reuse: pending events are
 // recycled, the clock, sequence counter and fired count restart, and the
 // heap backing array and event pool are retained — so a sequence of

@@ -38,10 +38,9 @@ type Probes struct {
 
 	// OmitKernel suppresses the kernel-wide gauges (des.heap_depth,
 	// des.events_per_sec), keeping only the per-resource series. The
-	// sharded rack model sets it: heap depth and event rate are
-	// per-shard quantities that depend on the partitioning, so they
-	// would break the partition-independent export that the shards-1
-	// vs shards-N byte-equivalence gate compares. Set before Start.
+	// rack model sets it: its timeline probes run one per enclosure
+	// plus one rack-global, all on one heap, and every series must be
+	// written by exactly one of them. Set before Start.
 	OmitKernel bool
 }
 

@@ -156,17 +156,17 @@ func (p Plan) EffectiveServerGbps() float64 {
 	return math.Min(p.Config.ServerGbps, share)
 }
 
-// Latency model for the sharded DES kernel (internal/des/shard). The
-// conservative engine needs a lookahead: a hard lower bound on the
-// latency of any cross-enclosure interaction. Traffic between
-// enclosures crosses at least one store-and-forward edge switch hop
-// and must be serialized onto the sender's NIC, so the bound is the
-// serialization time of one transfer unit plus the switch hop latency.
+// Transport latency model of the rack DES (internal/cluster/rack.go):
+// the minimum latency of each class of interaction between a rack's
+// stations. Traffic between enclosures crosses at least one
+// store-and-forward edge switch hop and must be serialized onto the
+// sender's NIC, so its latency is the serialization time of one
+// transfer unit plus the switch hop latency.
 const (
 	// EdgeHopLatencySec is the store-and-forward latency of one
 	// commodity GbE edge-switch hop (forwarding plus minimal queuing
-	// floor). Deliberately conservative (low): the lookahead must be a
-	// true lower bound, never an average.
+	// floor). Deliberately conservative (low): a lower bound, never an
+	// average.
 	EdgeHopLatencySec = 2e-6
 
 	// CrossEnclosureUnitBytes is the minimum transfer unit of
@@ -178,10 +178,8 @@ const (
 // CrossEnclosureLatencySec returns the minimum one-way latency of a
 // cross-enclosure transfer for a server with the given NIC bandwidth:
 // serializing one transfer unit onto the wire plus one edge-switch
-// hop. The sharded kernel uses it as the conservative lookahead, and
-// the rack model uses the same value as the explicit transport delay
-// of blade, SAN and shuffle messages — keeping model latency and
-// synchronization window derivation in one place.
+// hop. The rack model uses it as the transport delay of shuffle chunks
+// and aggregator reports.
 func CrossEnclosureLatencySec(nicBytesPerSec float64) float64 {
 	if nicBytesPerSec <= 0 {
 		return EdgeHopLatencySec
@@ -194,8 +192,7 @@ func CrossEnclosureLatencySec(nicBytesPerSec float64) float64 {
 // enclosure's memory blade over the backplane): the transfer unit
 // still serializes onto the sender's link, but no store-and-forward
 // switch hop is crossed. Always strictly below the cross-enclosure
-// bound, which is what lets the sharded kernel give co-resident
-// traffic a tighter floor without loosening any cross-shard window.
+// bound.
 func IntraEnclosureLatencySec(nicBytesPerSec float64) float64 {
 	if nicBytesPerSec <= 0 {
 		return EdgeHopLatencySec / 2
@@ -206,10 +203,7 @@ func IntraEnclosureLatencySec(nicBytesPerSec float64) float64 {
 // SANPathLatencySec returns the minimum one-way latency of a SAN block
 // transfer: the cross-enclosure path plus one extra edge hop through
 // the storage head's switch port. SAN traffic is the only interactive
-// cross-enclosure traffic in the rack model, so this (looser) bound is
-// what the per-pair lookahead matrix assigns to board-shard ↔ SAN-shard
-// pairs — widening their synchronization windows relative to the raw
-// fabric floor.
+// cross-enclosure traffic in the rack model.
 func SANPathLatencySec(nicBytesPerSec float64) float64 {
 	return CrossEnclosureLatencySec(nicBytesPerSec) + EdgeHopLatencySec
 }

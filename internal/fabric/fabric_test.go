@@ -166,8 +166,8 @@ func TestCrossEnclosureLatency(t *testing.T) {
 // TestLatencyClassOrdering: the three rack traffic classes must stay
 // strictly ordered — intra-enclosure (no switch hop) below
 // cross-enclosure (one edge hop) below the SAN path (an extra hop) —
-// at any bandwidth, because the shard lookahead matrix is built from
-// exactly this ordering.
+// at any bandwidth, because the rack model's traffic classes are
+// defined by exactly this ordering.
 func TestLatencyClassOrdering(t *testing.T) {
 	for _, nic := range []float64{0, 125e6, 1.25e9, 12.5e9} {
 		intra := IntraEnclosureLatencySec(nic)

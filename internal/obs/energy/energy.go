@@ -19,7 +19,7 @@
 // are pure functions of observation time, per-partition collectors
 // merge in a fixed model order (MergeFrom), means are sums-of-sums,
 // and every exported map marshals with sorted keys — so the -energy-out
-// export is byte-identical at any shard or parallelism count.
+// export is byte-identical at any parallelism count.
 package energy
 
 import (
@@ -196,8 +196,8 @@ type Totals struct {
 }
 
 // Collector accumulates one partition's energy telemetry. Like
-// window.Collector it is single-threaded — owned by the goroutine of
-// the shard whose entities feed it — except LiveWindows, which readers
+// window.Collector it is single-threaded — owned by the goroutine
+// running the simulation that feeds it — except LiveWindows, which readers
 // may call concurrently (sealed summaries publish through an atomic
 // copy-on-write slice).
 type Collector struct {
@@ -418,8 +418,9 @@ func (c *Collector) Proportionality() Proportionality {
 // argument order. The part order must be fixed by the model (enclosure
 // order, then the rack-global part), never by the partitioning — the
 // same discipline as window.Collector.MergeFrom — so the merged
-// collector is byte-identical at any shard count. Parts must share c's
-// config and be sealed; merging a collector into itself panics.
+// collector is byte-identical however the parts were produced. Parts
+// must share c's config and be sealed; merging a collector into itself
+// panics.
 func (c *Collector) MergeFrom(parts ...*Collector) {
 	for _, p := range parts {
 		if p == c {
@@ -468,8 +469,8 @@ func (c *Collector) MergeFrom(parts ...*Collector) {
 // EmitTotals writes the run-level energy summary into the
 // deterministic recorder stream: energy.* counters and observations
 // plus one "energy_total" event. Everything is computed from the
-// merged collector, so the stream is identical at every shard and
-// parallelism count. Call after Seal/MergeFrom.
+// merged collector, so the stream is identical at every parallelism
+// count. Call after Seal/MergeFrom.
 func (c *Collector) EmitTotals(rec obs.Recorder) {
 	if !obs.On(rec) {
 		return

@@ -1,12 +1,11 @@
 package obs
 
-// Merging support for the sharded kernel: each enclosure records into
-// its own Sink (owned by the shard its entities live on, so recording
-// stays single-threaded), and after the run the per-enclosure sinks
-// are folded into one export sink. The fold is deterministic and
-// partition-independent: parts are passed in enclosure order, which is
-// fixed by the model, not by the partitioning — so the merged export
-// is byte-identical at any shard count.
+// Merging support for partitioned recording: each enclosure of a rack
+// (and each hot rack of a fleet) records into its own Sink, and after
+// the run the parts are folded into one export sink. The fold is
+// deterministic: parts are passed in an order fixed by the model
+// (enclosure order, rack id order), so the merged export is
+// byte-identical however the parts were produced.
 
 // Merge folds o's observations into h. Both histograms share the
 // package-wide fixed bucket layout, so merging is exact.

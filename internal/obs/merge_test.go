@@ -98,7 +98,7 @@ func TestMergeFromDeterministic(t *testing.T) {
 
 // TestMergeFromSharedSeriesOrder: when two parts recorded the same
 // series name, the fold appends their points in part order — the
-// caller's enclosure ordering, never the sharding's.
+// caller's enclosure ordering.
 func TestMergeFromSharedSeriesOrder(t *testing.T) {
 	a, b := NewSink(), NewSink()
 	a.Gauge("util.cpu", 1.0, 0.1)
@@ -181,7 +181,7 @@ func TestMergeFromSelfPanics(t *testing.T) {
 
 // TestMergeFromTieOrder: events at identical times merge in part
 // order — the partition-independent tie-break (part order is fixed by
-// the model, e.g. enclosure index, never by the sharding).
+// the model, e.g. enclosure index).
 func TestMergeFromTieOrder(t *testing.T) {
 	a, b := NewSink(), NewSink()
 	a.Event("s", 1.0, F("part", 0))

@@ -101,9 +101,9 @@ func NewTracer(rec obs.Recorder, every int64) *Tracer {
 }
 
 // NewTracerAt is NewTracer with an explicit ID base: the first span
-// gets base+1. Partitioned models (the sharded rack) give each part a
-// tracer with a disjoint base so span IDs stay unique — and identical
-// at every partitioning — after the parts are merged.
+// gets base+1. Partitioned models (the rack's per-enclosure parts) give
+// each part a tracer with a disjoint base so span IDs stay unique after
+// the parts are merged.
 func NewTracerAt(rec obs.Recorder, every, base int64) *Tracer {
 	t := NewTracer(rec, every)
 	if t != nil {

@@ -112,7 +112,7 @@ func ViolationSec(eps []Episode) float64 {
 // EmitEpisodes writes the windowed-SLO summary into the deterministic
 // recorder stream: slo.* counters plus one begin and one end
 // "slo_episode" event per episode. Everything emitted is computed from
-// the merged collector, so the stream is identical at every shard and
+// the merged collector, so the stream is identical at every
 // parallelism count. Call after Seal/MergeFrom.
 func (c *Collector) EmitEpisodes(rec obs.Recorder, eps []Episode) {
 	if !obs.On(rec) {

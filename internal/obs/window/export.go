@@ -15,9 +15,9 @@ const SchemaSLO = "warehousesim-slo/v1"
 const SchemaLive = "warehousesim-windows/v1"
 
 // sloManifest is the export's first line: the window configuration and
-// run totals. It deliberately carries no shard or parallelism count,
-// so the whole file — not just a body — is byte-identical across
-// -shards and -par values at the same seed.
+// run totals. It deliberately carries no parallelism count, so the
+// whole file — not just a body — is byte-identical across -par values
+// at the same seed.
 type sloManifest struct {
 	Type             string  `json:"type"`
 	Schema           string  `json:"schema"`

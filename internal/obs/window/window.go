@@ -11,7 +11,7 @@
 // two partitions of the same run assign every observation to the same
 // window — merging per-partition collectors (MergeFrom, in fixed part
 // order, exactly like obs.Sink.MergeFrom) reproduces the single
-// collector byte for byte at any shard or parallelism count. A sliding
+// collector byte for byte at any parallelism count. A sliding
 // window's contents depend on when it is evaluated, which is a
 // wall-clock notion the deterministic export must not see.
 //
@@ -151,8 +151,8 @@ func (c *Collector) summarize(w *win) Summary {
 }
 
 // Collector accumulates one partition's windowed metrics. It is
-// single-threaded like obs.Sink — owned by the goroutine of the shard
-// whose entities feed it — except for LiveSummaries, which readers on
+// single-threaded like obs.Sink — owned by the goroutine running the
+// simulation that feeds it — except for LiveSummaries, which readers on
 // other goroutines may call concurrently with the owner (sealed-window
 // summaries are published through an atomic copy-on-write slice).
 type Collector struct {
@@ -277,8 +277,9 @@ func (c *Collector) LiveSummaries() []Summary {
 // MergeFrom folds the parts' sealed windows into c, index-aligned, in
 // argument order. The part order must be fixed by the model (enclosure
 // order), never by the partitioning — the same discipline as
-// obs.Sink.MergeFrom — so the merged collector is byte-identical at
-// any shard count. Parts must share c's config and must be sealed;
+// obs.Sink.MergeFrom — so the merged collector is byte-identical
+// however the parts were produced. Parts must share c's config and
+// must be sealed;
 // merging a collector into itself panics.
 func (c *Collector) MergeFrom(parts ...*Collector) {
 	for _, p := range parts {

@@ -95,7 +95,7 @@ func TestWindowAccumulationAndSummaries(t *testing.T) {
 
 // TestMergeMatchesSingle: splitting a stream across parts and merging
 // must reproduce the single-collector export byte for byte — the
-// partition-independence property the shards/par CI gates rely on.
+// partition-independence property the rack and fleet merges rely on.
 func TestMergeMatchesSingle(t *testing.T) {
 	cfg := Config{WidthSec: 1, QoSLatencySec: 0.25, QoSPercentile: 0.95}
 	type ob struct {

@@ -83,11 +83,10 @@ func SweepSeed(base, i uint64) uint64 {
 }
 
 // EntitySeed derives an entity-scoped RNG seed from a run's root seed
-// and the entity's stable (group, index) coordinates — e.g. (enclosure,
-// client slot) in the sharded rack. It is a pure function of its
+// and the entity's stable (group, index) coordinates — e.g. (board,
+// client slot) in the rack model. It is a pure function of its
 // arguments: the resulting per-entity streams are independent of
-// partitioning, shard count, and setup iteration order, which is what
-// keeps sharded runs bit-identical to flat ones. The mixing is one
+// setup iteration order and of every other entity. The mixing is one
 // splitmix64 finalization over a golden-ratio spread of the
 // coordinates; the exact constants are frozen — committed goldens
 // replay through them.

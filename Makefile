@@ -20,9 +20,9 @@
 #                     a module of its own, so ./... does not reach it)
 
 GO ?= go
-N ?= 6
-BENCH_OLD ?= BENCH_5.json
-BENCH_NEW ?= BENCH_6.json
+N ?= 7
+BENCH_OLD ?= BENCH_6.json
+BENCH_NEW ?= BENCH_7.json
 
 .PHONY: check vet lint build test test-race perfbench-test fmt bench bench-json bench-diff introspect-smoke cover
 

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"warehousesim/internal/cluster"
+	"warehousesim/internal/des"
 	"warehousesim/internal/flashcache"
 	"warehousesim/internal/memblade"
 	"warehousesim/internal/obs"
@@ -174,6 +176,42 @@ func rackTrial(seed uint64) func(*testing.B) {
 	}
 }
 
+// deepQueueClients and deepQueueJobs size deepQueueTrial: 4,096 clients
+// keep that many jobs waiting at one server, and each trial pushes every
+// client through the queue 16 times.
+const (
+	deepQueueClients = 4096
+	deepQueueJobs    = 16 * deepQueueClients
+)
+
+// deepQueueTrial benchmarks the DES kernel at saturation: one
+// single-server des.Resource with 4,096 closed-loop clients, so every
+// completion dequeues from a queue thousands deep. A FIFO or event heap
+// whose per-operation cost grows with queue length shows here long
+// before it moves RackTrial.
+func deepQueueTrial(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sim := des.NewSim()
+		r := des.NewResource(sim, "server", 1)
+		left := deepQueueJobs
+		var client des.Action
+		client = func() {
+			if left > 0 {
+				left--
+				r.Submit(0.001, client)
+			}
+		}
+		for c := 0; c < deepQueueClients; c++ {
+			client()
+		}
+		sim.Run(math.MaxFloat64)
+		if r.Completed() != deepQueueJobs {
+			b.Fatalf("deep queue completed %d jobs, want %d", r.Completed(), deepQueueJobs)
+		}
+	}
+}
+
 func flashCacheOp(seed uint64) func(*testing.B) {
 	return func(b *testing.B) {
 		sim, err := flashcache.New(flashcache.DefaultConfig())
@@ -234,6 +272,7 @@ func writeBenchJSON(path string, seed uint64) error {
 		{"DESTrialObs", desTrial("obs", seed)},
 		{"DESTrialTraced", desTrial("traced", seed)},
 		{"RackTrial", rackTrial(seed)},
+		{"DeepQueueTrial", deepQueueTrial},
 		{"MembladeAccess", membladeAccess(seed)},
 		{"MembladeAccessTraced", membladeAccessTraced(seed)},
 		{"FlashCacheOp", flashCacheOp(seed)},

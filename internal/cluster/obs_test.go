@@ -35,7 +35,13 @@ func TestSimulateWithObsEmitsStreams(t *testing.T) {
 			t.Fatalf("series %q missing or empty (have %v)", name, sink.SeriesNames())
 		}
 	}
-	if n := sink.EventCount("request"); n == 0 {
+	requests := 0
+	for _, e := range sink.Events() {
+		if e.Stream == "request" {
+			requests++
+		}
+	}
+	if requests == 0 {
 		t.Fatal("no request events recorded")
 	}
 	if sink.CounterValue("requests") == 0 || sink.CounterValue("des.events") == 0 {

@@ -18,13 +18,18 @@ type Resource struct {
 	servers int
 	sim     *Sim
 
-	busy  int
+	busy int
+	// queue[head:] are the waiting jobs, oldest first. Dequeue advances
+	// head instead of shifting, so a saturated station with thousands
+	// of waiters still starts each job in O(1); see enqueue for when
+	// the consumed prefix is reclaimed.
 	queue []pendingJob
+	head  int
 
 	// time-weighted accounting
 	lastStamp     Time
 	busyIntegral  float64 // ∫ busy dt
-	queueIntegral float64 // ∫ len(queue) dt
+	queueIntegral float64 // ∫ waiting jobs dt
 	completed     uint64
 	totalService  float64
 	windowStart   Time
@@ -38,7 +43,6 @@ type Resource struct {
 type pendingJob struct {
 	service Time
 	done    Action
-	arrived Time
 }
 
 // completion carries one in-service job's completion callback. The act
@@ -58,18 +62,42 @@ func (c *completion) fire() {
 	r.stamp()
 	r.busy--
 	r.completed++
-	if len(r.queue) > 0 {
-		next := r.queue[0]
-		// Shift; queues are short in steady state so O(n) is fine,
-		// and copying avoids retaining the backing array's head.
-		copy(r.queue, r.queue[1:])
-		r.queue[len(r.queue)-1] = pendingJob{}
-		r.queue = r.queue[:len(r.queue)-1]
+	if r.head < len(r.queue) {
+		next := r.dequeue()
 		r.start(next.service, next.done)
 	}
 	if done != nil {
 		done()
 	}
+}
+
+// enqueue appends a waiting job. When the backing array is full and the
+// consumed prefix is at least half of it, the waiting jobs slide to the
+// front instead of the array growing: the copy moves no more jobs than
+// the dequeues that freed the prefix, so it is amortized O(1), and the
+// array grows only once the waiting jobs fill half of it.
+func (r *Resource) enqueue(j pendingJob) {
+	if len(r.queue) == cap(r.queue) && r.head > 0 && 2*r.head >= len(r.queue) {
+		n := copy(r.queue, r.queue[r.head:])
+		clear(r.queue[n:])
+		r.queue = r.queue[:n]
+		r.head = 0
+	}
+	r.queue = append(r.queue, j)
+}
+
+// dequeue pops the oldest waiting job. The vacated slot is cleared so
+// the backing array never retains a finished job's callback, and the
+// queue rewinds to empty when it drains.
+func (r *Resource) dequeue() pendingJob {
+	next := r.queue[r.head]
+	r.queue[r.head] = pendingJob{}
+	r.head++
+	if r.head == len(r.queue) {
+		r.queue = r.queue[:0]
+		r.head = 0
+	}
+	return next
 }
 
 // NewResource creates a resource with the given number of servers
@@ -92,7 +120,7 @@ func (r *Resource) stamp() {
 	dt := float64(now - r.lastStamp)
 	if dt > 0 {
 		r.busyIntegral += dt * float64(r.busy)
-		r.queueIntegral += dt * float64(len(r.queue))
+		r.queueIntegral += dt * float64(len(r.queue)-r.head)
 		r.lastStamp = now
 	} else if now > r.lastStamp {
 		r.lastStamp = now
@@ -111,7 +139,7 @@ func (r *Resource) Submit(service Time, done Action) {
 		r.start(service, done)
 		return
 	}
-	r.queue = append(r.queue, pendingJob{service: service, done: done, arrived: r.sim.Now()})
+	r.enqueue(pendingJob{service: service, done: done})
 }
 
 func (r *Resource) start(service Time, done Action) {
@@ -134,7 +162,7 @@ func (r *Resource) start(service Time, done Action) {
 func (r *Resource) InService() int { return r.busy }
 
 // QueueLen returns the number of jobs waiting (not in service).
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
 
 // Completed returns the number of jobs finished since the last ResetWindow.
 func (r *Resource) Completed() uint64 { return r.completed }
@@ -162,7 +190,7 @@ func (r *Resource) MeanQueueLen() float64 {
 }
 
 // Integrals returns the time-weighted busy-server and queue-length
-// integrals (∫ busy dt, ∫ len(queue) dt) accumulated since the last
+// integrals (∫ busy dt, ∫ waiting jobs dt) accumulated since the last
 // ResetWindow, stamped to the current simulation time. Probes difference
 // successive snapshots to build per-interval utilization timelines.
 func (r *Resource) Integrals() (busy, queue float64) {
@@ -189,10 +217,9 @@ func (r *Resource) ResetWindow() {
 // kernel was reset are abandoned to the garbage collector; the pool
 // refills lazily.
 func (r *Resource) Reset() {
-	for i := range r.queue {
-		r.queue[i] = pendingJob{}
-	}
+	clear(r.queue)
 	r.queue = r.queue[:0]
+	r.head = 0
 	r.busy = 0
 	r.lastStamp, r.windowStart = 0, 0
 	r.busyIntegral, r.queueIntegral = 0, 0

@@ -1,5 +1,7 @@
 package obs
 
+import "slices"
+
 // Merging support for partitioned recording: each enclosure of a rack
 // (and each hot rack of a fleet) records into its own Sink, and after
 // the run the parts are folded into one export sink. The fold is
@@ -43,8 +45,17 @@ func (h *Hist) Merge(o *Hist) {
 //     part distinct series names, so this is a move, not an interleave);
 //   - events k-way merge by time, ties broken by part order — each
 //     part's events must be in nondecreasing time order (true for
-//     anything recorded on a simulated clock);
-//   - dropped-event counts add.
+//     anything recorded on a simulated clock).
+//
+// Events merge by reference: s appends each part's EventRecord as-is,
+// so s and the part share the record's Fields. That is safe because a
+// sink hands out field views as full-slice expressions over its arena,
+// and an arena slot is written exactly once — later Event calls on the
+// part append past every view's capacity and can never overwrite a
+// shared field. Records are read-only to everyone (see Events), so
+// neither side can change what the other exports. Nested merges
+// (enclosure into rack, rack into fleet) therefore copy record headers
+// only, never fields.
 //
 // The manifest is left untouched: the coordinator composes it.
 //
@@ -78,7 +89,6 @@ func (s *Sink) MergeFrom(parts ...*Sink) {
 			}
 			dst.Points = append(dst.Points, src.Points...)
 		}
-		s.dropped += p.dropped
 	}
 	// K-way time merge of event streams, stable on part order.
 	evs := make([][]EventRecord, len(parts))
@@ -87,6 +97,7 @@ func (s *Sink) MergeFrom(parts ...*Sink) {
 		evs[i] = p.Events()
 		total += len(evs[i])
 	}
+	s.events = slices.Grow(s.events, total)
 	idx := make([]int, len(parts))
 	for n := 0; n < total; n++ {
 		best := -1
@@ -98,8 +109,7 @@ func (s *Sink) MergeFrom(parts ...*Sink) {
 				best = i
 			}
 		}
-		e := evs[best][idx[best]]
+		s.events = append(s.events, evs[best][idx[best]])
 		idx[best]++
-		s.Event(e.Stream, e.T, e.Fields...)
 	}
 }

@@ -166,6 +166,50 @@ func TestMergeFromEmptyAndInto(t *testing.T) {
 	}
 }
 
+// TestMergeFromSharesFieldsSafely: merged events share their field
+// slices with the parts, so a part that keeps recording afterwards —
+// past an arena chunk boundary, from a reused scratch buffer — must not
+// change what the merged sink (or a second-level merge of it) exports.
+func TestMergeFromSharesFieldsSafely(t *testing.T) {
+	a, b := NewSink(), NewSink()
+	scratch := make([]Field, 0, 2)
+	for i := 0; i < 10; i++ {
+		scratch = append(scratch[:0], F("i", float64(i)), FS("part", "a"))
+		a.Event("req", float64(2*i), scratch...)
+		scratch = append(scratch[:0], F("i", float64(i)), FS("part", "b"))
+		b.Event("req", float64(2*i+1), scratch...)
+	}
+	mid := NewSink()
+	mid.MergeFrom(a, b)
+	top := NewSink()
+	top.MergeFrom(mid)
+	var want bytes.Buffer
+	if err := top.WriteJSONL(&want); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 2*fieldArenaChunk; i++ {
+		scratch = append(scratch[:0], F("i", -1), FS("part", "late"))
+		a.Event("req", 1e6, scratch...)
+		b.Event("req", 1e6, scratch...)
+	}
+	var got bytes.Buffer
+	if err := top.WriteJSONL(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Error("recording into a part after the merge changed the merged export")
+	}
+	if n := len(top.Events()); n != 20 {
+		t.Fatalf("merged %d events, want 20", n)
+	}
+	for k, e := range top.Events() {
+		if e.T != float64(k) {
+			t.Fatalf("event %d at t=%g, want time order", k, e.T)
+		}
+	}
+}
+
 // TestMergeFromSelfPanics: a sink given as its own merge part would
 // double its counters and walk an event stream being appended to.
 func TestMergeFromSelfPanics(t *testing.T) {

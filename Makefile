@@ -20,9 +20,9 @@
 #                     a module of its own, so ./... does not reach it)
 
 GO ?= go
-N ?= 7
-BENCH_OLD ?= BENCH_6.json
-BENCH_NEW ?= BENCH_7.json
+N ?= 8
+BENCH_OLD ?= BENCH_7.json
+BENCH_NEW ?= BENCH_8.json
 
 .PHONY: check vet lint build test test-race perfbench-test fmt bench bench-json bench-diff introspect-smoke cover
 

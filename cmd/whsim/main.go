@@ -388,14 +388,16 @@ func main() {
 
 			if exportObs {
 				out := obsFlags.Path()
+				exportStart := time.Now()
 				if err := sink.WriteFile(out); err != nil {
 					log.Fatal(err)
 				}
-				// Wall time and wall-clock event throughput go to stderr:
+				exportWall := time.Since(exportStart)
+				// Wall times and wall-clock event throughput go to stderr:
 				// the export stays byte-identical across same-seed runs.
-				log.Printf("obs: wrote %s (%d series, %d events) in %.2fs wall (%.3g events/wall-sec)",
-					out, len(sink.SeriesNames()), len(sink.Events()), wall.Seconds(),
-					float64(man.Events)/wall.Seconds())
+				log.Printf("obs: wrote %s (%d series, %d events) in %.2fs export wall; simulation %.2fs wall (%.3g events/wall-sec)",
+					out, len(sink.SeriesNames()), len(sink.Events()), exportWall.Seconds(),
+					wall.Seconds(), float64(man.Events)/wall.Seconds())
 			}
 
 			if opts.TraceEvery > 0 {

@@ -202,10 +202,12 @@ func main() {
 			sink.SetManifest(man)
 
 			out := obsFlags.Path()
+			exportStart := time.Now()
 			if err := sink.WriteFile(out); err != nil {
 				log.Fatal(err)
 			}
-			log.Printf("obs: wrote %s (%d events) in %.2fs wall", out, len(sink.Events()), wall.Seconds())
+			log.Printf("obs: wrote %s (%d events) in %.2fs export wall; replay %.2fs wall",
+				out, len(sink.Events()), time.Since(exportStart).Seconds(), wall.Seconds())
 			if *traceOut != "" {
 				if err := span.WriteTraceFile(*traceOut, sink); err != nil {
 					log.Fatal(err)

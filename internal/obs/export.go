@@ -42,20 +42,6 @@ type jsonlHist struct {
 	Buckets   []jsonlHistBucket `json:"buckets,omitempty"`
 }
 
-type jsonlSample struct {
-	Type   string  `json:"type"`
-	Series string  `json:"series"`
-	T      float64 `json:"t"`
-	V      float64 `json:"v"`
-}
-
-type jsonlEvent struct {
-	Type   string         `json:"type"`
-	Stream string         `json:"stream"`
-	T      float64        `json:"t"`
-	Fields map[string]any `json:"f,omitempty"`
-}
-
 type jsonlManifest struct {
 	Type string `json:"type"`
 	Manifest
@@ -92,26 +78,24 @@ func (s *Sink) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
+	// Series points and events are the bulk of a large export; they go
+	// through the typed appender (jsonl.go) instead of encoding/json.
+	var a jsonlAppender
 	for _, name := range sortedKeys(s.series) {
 		for _, p := range s.series[name].Points {
-			if err := enc.Encode(jsonlSample{Type: "sample", Series: name, T: p.T, V: p.V}); err != nil {
+			if err := a.sample(name, p); err != nil {
+				return err
+			}
+			if _, err := bw.Write(a.line); err != nil {
 				return err
 			}
 		}
 	}
-	for _, e := range s.Events() {
-		rec := jsonlEvent{Type: "event", Stream: e.Stream, T: e.T}
-		if len(e.Fields) > 0 {
-			rec.Fields = make(map[string]any, len(e.Fields))
-			for _, f := range e.Fields {
-				if f.IsStr {
-					rec.Fields[f.Key] = f.Str
-				} else {
-					rec.Fields[f.Key] = f.Num
-				}
-			}
+	for i := range s.events {
+		if err := a.event(&s.events[i]); err != nil {
+			return err
 		}
-		if err := enc.Encode(rec); err != nil {
+		if _, err := bw.Write(a.line); err != nil {
 			return err
 		}
 	}
